@@ -40,8 +40,7 @@ def main(argv=None):
         n = 2**k
         seq1, seq2 = regime_pair(n)
         for report in compare_theorems(seq1, seq2, args.eps):
-            notes = "; ".join(report.notes)
-            print(f"{n:>8}  {report.theorem:<20} {report.verdict:<18} {notes}")
+            print(f"{n:>8}  {report.theorem:<20} {report.verdict:<18} {report.notes}")
     return 0
 
 

@@ -4,9 +4,10 @@ Pipeline per attempt: band-partition the hub side by degree, map the bands
 to random contiguous blocks of the host's A-side, satisfy small bands
 greedily from unused B-neighbors, split the remaining B-vertices into
 random blocks matched to the large bands, and solve each (band, block)
-pair exactly as a degree-constrained subgraph via max flow. Any stuck
-phase triggers a rerandomized retry; a returned embedding is always
-verified first.
+pair exactly as a b-matching (every leaf takes one hub, each hub its
+degree) by augmenting paths on the host's adjacency. Any stuck phase
+triggers a rerandomized retry; a returned embedding is always verified
+first.
 
 Strict mode enforces the theorem hypotheses (whose hub-degree cap
 eps^4 n / (100 log n) is below 1 for any n reachable on a desk, so it only
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .conditions import degree_cap, lemma5_conditions, theorem1_conditions
-from .flow import Infeasible, fixed_order_embed
-from .graphs import BigraphicSequence, BipartiteGraph, EmbeddingMap, verify_embedding
+from .flow import Infeasible, capacitated_matching
+from .graphs import BipartiteGraph, EmbeddingMap, verify_embedding
 
 logger = logging.getLogger(__name__)
 
@@ -273,25 +274,23 @@ def assign_blocks_and_pairs(
 
 
 def embed_pair(host: BipartiteGraph, d_images, demands, e_block):
-    """Exact embedding of one band into its B-block via max flow.
+    """Exact embedding of one band into its B-block as a b-matching.
 
     d_images are the A-images of the band's vertices, demands their target
     degrees, e_block the B-vertices available (each to be used exactly
-    once). Returns host edges in global coordinates, or Infeasible.
+    once). Returns a tuple of host edges in global coordinates, hub by hub
+    in d_images order with demands[i] edges for hub i, or Infeasible whose
+    deficit is the total demand minus the maximum b-matching.
     """
-    e_pos = {b: j for j, b in enumerate(e_block)}
-    edges = frozenset(
-        (i, e_pos[b])
-        for i, a in enumerate(d_images)
-        for b in host.a_adj[a]
-        if b in e_pos
-    )
-    induced = BipartiteGraph(len(d_images), len(e_block), edges)
-    demand = BigraphicSequence(tuple(demands), (1,) * len(e_block))
-    result = fixed_order_embed(induced, demand)
-    if isinstance(result, Infeasible):
-        return result
-    return frozenset((d_images[i], e_block[j]) for i, j in result)
+    total = sum(demands)
+    if total != len(e_block):
+        return Infeasible(abs(total - len(e_block)), reason="side-sums")
+    e_set = frozenset(e_block)
+    neighbours = [host.a_adj[a] & e_set for a in d_images]
+    assigned, deficit = capacitated_matching(neighbours, demands)
+    if deficit:
+        return Infeasible(deficit)
+    return tuple((a, b) for a, hit in zip(d_images, assigned) for b in hit)
 
 
 def azuma_bound(eps: float, z: int) -> float:
@@ -434,10 +433,11 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
                     attempts=attempt + 1,
                 )
                 break
-            pair_edges |= result
-            for v in d_vertices:
-                a = s_to_a[v]
-                hit = sorted(b for (aa, b) in result if aa == a)
+            pair_edges.update(result)
+            offset = 0
+            for v, need in zip(d_vertices, demands):
+                hit = sorted(b for _, b in result[offset : offset + need])
+                offset += need
                 for t, b in zip(sorted(target.a_adj[v]), hit):
                     t_assign[t] = b
         if failed is not None:

@@ -1,13 +1,16 @@
-"""Fixed-order embedding feasibility: subset condition and flow constructor.
+"""Fixed-order embedding feasibility: subset condition, flow and b-matching.
 
-Two routes decide whether a demand sequence can be met by a subgraph of a
-host with exact degrees on both sides:
+Three routes decide whether demands can be met by a subgraph of a host:
 
 * ``lemma4_check_exhaustive`` enumerates the subset inequalities
   pi(X) <= e(X, Y) + pi(complement Y) over both orientations and reports
   the worst violation, if any.
-* ``fixed_order_embed`` builds a degree-constrained subgraph through an
-  integral maximum flow (Dinic) and returns the selected edges.
+* ``fixed_order_embed`` builds a degree-constrained subgraph for general
+  demands through an integral maximum flow (Dinic) and returns the
+  selected edges.
+* ``capacitated_matching`` handles the special case where every leaf-side
+  demand is 1 (a b-matching): a greedy seed, then breadth-first augmenting
+  paths, on the hubs' neighbour lists with no network built.
 
 On instances with equal side sums the subset family in the A-orientation
 already characterizes feasibility; the mirrored B-orientation is checked
@@ -91,8 +94,9 @@ def max_flow(net: FlowNetwork) -> int:
     """Dinic's algorithm; mutates net's residual capacities in place.
 
     Returns the maximum integral s-t flow value; per-arc flows are then
-    available through ``net.arc_flow``. Recursion depth is bounded by the
-    BFS level count (at most 4 for the bipartite networks built here).
+    available through ``net.arc_flow``. The blocking-flow search keeps its
+    current path on an explicit stack, so the depth of the level graph is
+    not limited by the interpreter's recursion limit.
     """
     to, cap, adj = net._to, net._cap, net._adj
     s, t = net.source, net.sink
@@ -111,27 +115,101 @@ def max_flow(net: FlowNetwork) -> int:
         if level[t] < 0:
             return total
         ptr = [0] * net.node_count
-
-        def push(u, limit):
-            if u == t:
-                return limit
-            while ptr[u] < len(adj[u]):
-                e = adj[u][ptr[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    got = push(v, min(limit, cap[e]))
-                    if got > 0:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                ptr[u] += 1
-            return 0
-
+        path = []  # arc ids from s to the current node u
+        u = s
         while True:
-            pushed = push(s, 1 << 62)
-            if pushed == 0:
+            if u == t:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = s
+                continue
+            arcs = adj[u]
+            while ptr[u] < len(arcs):
+                e = arcs[ptr[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                ptr[u] += 1
+            else:
+                if u == s:
+                    break
+                # Dead end: retreat one arc and skip it from its tail.
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+                continue
+            path.append(e)
+            u = to[e]
+
+
+def capacitated_matching(neighbours, demands):
+    """Maximum b-matching of hubs to leaves.
+
+    Hub i may take up to demands[i] distinct leaves from neighbours[i] (an
+    iterable of hashable leaf ids that can be traversed repeatedly); each
+    leaf goes to at most one hub. A greedy pass seeds the matching, then
+    each hub still short of its demand grows it by breadth-first augmenting
+    paths (Hopcroft & Karp's shortest paths, one search at a time) kept in
+    explicit parent maps, so no search recurses.
+
+    Returns (assigned, deficit): assigned[i] lists the leaves hub i got, and
+    deficit is sum(demands) minus the size of the maximum matching.
+    """
+    k = len(demands)
+    owner = {}  # leaf -> hub
+    load = [0] * k
+    for h in range(k):
+        need = demands[h]
+        if need <= 0:
+            continue
+        got = 0
+        for leaf in neighbours[h]:
+            if leaf not in owner:
+                owner[leaf] = h
+                got += 1
+                if got == need:
+                    break
+        load[h] = got
+    # A search that fails reaches a closed set: every leaf it sees is owned
+    # by a hub it also expanded. No later augmenting path can enter that set
+    # and leave it again, so its hubs are never expanded again.
+    dead_hubs = set()
+    for r in range(k):
+        while load[r] < demands[r] and r not in dead_hubs:
+            via = {r: None}  # hub -> the owned leaf it was reached through
+            parent = {}  # leaf -> hub it was reached from
+            queue = [r]
+            free = None
+            for h in queue:
+                for leaf in neighbours[h]:
+                    if leaf in parent:
+                        continue
+                    parent[leaf] = h
+                    w = owner.get(leaf)
+                    if w is None:
+                        free = leaf
+                        break
+                    if w not in via and w not in dead_hubs:
+                        via[w] = leaf
+                        queue.append(w)
+                if free is not None:
+                    break
+            if free is None:
+                dead_hubs.update(via)
                 break
-            total += pushed
+            # Shift each leaf on the path to the hub that reached it.
+            leaf = free
+            while leaf is not None:
+                h = parent[leaf]
+                owner[leaf] = h
+                leaf = via[h]
+            load[r] += 1
+    assigned = [[] for _ in range(k)]
+    for leaf, h in owner.items():
+        assigned[h].append(leaf)
+    return assigned, sum(demands) - len(owner)
 
 
 def _best_violation_for_side(a_demands, b_demands, nbr_masks, m, n):

@@ -2,9 +2,9 @@
 
 The embed oracle backtracks over injective hub-side maps (pruned only by
 degree counts) and settles the leaf side exactly: with all T-degrees at
-most 1 that subproblem is a bipartite matching, solved by augmenting
-paths; otherwise it backtracks over T as well. Budget exhaustion is a
-third result, never folded into yes/no.
+most 1 that subproblem is a b-matching, solved by the augmenting-path
+engine ``flow.capacitated_matching``; otherwise it backtracks over T as
+well. Budget exhaustion is a third result, never folded into yes/no.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .flow import Infeasible, fixed_order_embed
+from .flow import Infeasible, capacitated_matching, fixed_order_embed
 from .graphs import (
     BigraphicSequence,
     BipartiteGraph,
@@ -54,36 +54,6 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _match_leaves(host, target, s_to_a):
-    """Assign distinct B-vertices to the target edges via Kuhn matching.
-
-    Returns t -> b for the matched T-vertices, or None if no perfect
-    assignment of all target edges exists.
-    """
-    slots = []  # (t, allowed B-neighbors of the S-image)
-    for s, t in sorted(target.edges):
-        slots.append((t, host.a_adj[s_to_a[s]]))
-    match_b = {}  # b -> slot index
-
-    def augment(i, visited):
-        for b in sorted(slots[i][1]):
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_b or augment(match_b[b], visited):
-                match_b[b] = i
-                return True
-        return False
-
-    for i in range(len(slots)):
-        if not augment(i, set()):
-            return None
-    t_to_b = {}
-    for b, i in match_b.items():
-        t_to_b[slots[i][0]] = b
-    return t_to_b
-
-
 def brute_force_embed(
     host: BipartiteGraph, target: BipartiteGraph, budget: OracleBudget = OracleBudget()
 ):
@@ -106,6 +76,22 @@ def brute_force_embed(
             raise _OutOfNodes()
 
     s_order = sorted(range(target.m), key=lambda s: -len(target.a_adj[s]))
+    hubs = [s for s in range(target.m) if target.a_adj[s]]
+    hub_demands = [len(target.a_adj[s]) for s in hubs]
+    sorted_b_adj = [sorted(nbrs) for nbrs in host.a_adj]
+
+    def match_leaves(s_to_a):
+        """t -> b for every T-vertex with an S-neighbour, or None."""
+        assigned, deficit = capacitated_matching(
+            [sorted_b_adj[s_to_a[s]] for s in hubs], hub_demands
+        )
+        if deficit:
+            return None
+        return {
+            t: b
+            for s, hit in zip(hubs, assigned)
+            for t, b in zip(sorted(target.a_adj[s]), sorted(hit))
+        }
 
     def place_t(s_to_a):
         """Backtrack over injective T->B maps (general targets only)."""
@@ -137,7 +123,7 @@ def brute_force_embed(
         spend()
         if idx == target.m:
             if leaves_simple:
-                partial = _match_leaves(host, target, s_to_a)
+                partial = match_leaves(s_to_a)
                 if partial is None:
                     return None
                 free = iter(
@@ -176,7 +162,8 @@ def brute_force_embed(
     s_to_a = tuple(s_map[s] for s in range(target.m))
     edges = frozenset((s_to_a[s], t_map[t]) for s, t in target.edges)
     emb = EmbeddingMap(s_to_a, tuple(t_map), edges)
-    assert verify_embedding(host, target, emb)
+    if not verify_embedding(host, target, emb):
+        raise AssertionError("oracle produced an invalid embedding")
     return emb
 
 
@@ -235,6 +222,7 @@ def brute_force_pack(
             result = fixed_order_embed(comp, cand)
             if not isinstance(result, Infeasible):
                 witness = PackingWitness(g1.edges, result)
-                assert verify_packing(witness, seq1, seq2)
+                if not verify_packing(witness, seq1, seq2):
+                    raise AssertionError("oracle produced an invalid packing")
                 return witness
     return NoPacking()

@@ -1,10 +1,13 @@
 import math
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from bipack.conditions import (
     APPLIES,
+    ConditionReport,
     DOES_NOT_APPLY,
     PRECONDITION_UNMET,
     busch,
@@ -208,6 +211,16 @@ class TestCompareTheorems:
         for r in compare_theorems(ones, ones, 0.25):
             d = r.to_json_dict()
             assert set(d) == {"theorem", "verdict", "terms", "notes"}
+
+    def test_compare_script_prints_notes_verbatim(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "compare_conditions.py"
+        module = runpy.run_path(str(script), run_name="compare_conditions")
+        note = "requires Delta2 >= Delta1"
+        module["main"].__globals__["compare_theorems"] = lambda *args: [
+            ConditionReport("busch", PRECONDITION_UNMET, notes=note)
+        ]
+        assert module["main"](["--powers", "4"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(note)
 
 
 class TestDegreeCap:

@@ -22,13 +22,13 @@ from bipack.embedder import (
     is_small_class,
     partition_degree_classes,
 )
-from bipack.flow import Infeasible
+from bipack.flow import Infeasible, fixed_order_embed
 from bipack.generators import (
     gen_condition1_counterexample,
     gen_random_bipartite,
     gen_star_forest,
 )
-from bipack.graphs import BipartiteGraph, verify_embedding
+from bipack.graphs import BigraphicSequence, BipartiteGraph, verify_embedding
 
 
 def biclique(n):
@@ -191,6 +191,48 @@ class TestEmbedPair:
         host = BipartiteGraph(3, 3, {(1, 0), (1, 1), (1, 2)})
         result = embed_pair(host, [0], [1], [0, 1])
         assert isinstance(result, Infeasible)
+
+    def test_agrees_with_flow_on_induced_graph(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            host = gen_random_bipartite(n, rng.random(), rng)
+            d_images = rng.sample(range(n), rng.randint(1, n))
+            demands = [rng.randint(1, 3) for _ in d_images]
+            size = min(n, sum(demands) + rng.choice((-1, 0, 0, 0)))
+            e_block = rng.sample(range(n), max(size, 0))
+            result = embed_pair(host, d_images, demands, e_block)
+            e_pos = {b: j for j, b in enumerate(e_block)}
+            induced = BipartiteGraph(
+                len(d_images), len(e_block),
+                {(i, e_pos[b]) for i, a in enumerate(d_images)
+                 for b in host.a_adj[a] if b in e_pos},
+            )
+            flow = fixed_order_embed(
+                induced, BigraphicSequence(tuple(demands), (1,) * len(e_block))
+            )
+            if isinstance(flow, Infeasible):
+                assert result == flow
+                continue
+            assert not isinstance(result, Infeasible)
+            assert set(result) <= host.edges
+            # hub by hub in d_images order, every block vertex used once
+            assert [a for a, _ in result] == [
+                a for a, d in zip(d_images, demands) for _ in range(d)
+            ]
+            assert sorted(b for _, b in result) == sorted(e_block)
+
+    def test_long_augmenting_paths_at_n_2048(self):
+        # with hubs in descending order, greedy hands hub a the leaf a - 1
+        # wherever set order lists it first, so hub 0 finds leaf 0 taken and
+        # its augmenting path climbs back through the chain of hubs
+        n = 2048
+        host = BipartiteGraph(
+            n, n, {(a, a) for a in range(n)} | {(a, a - 1) for a in range(1, n)}
+        )
+        d_images = list(range(n - 1, -1, -1))
+        result = embed_pair(host, d_images, [1] * n, list(range(n)))
+        assert sorted(result) == [(a, a) for a in range(n)]
 
 
 class TestAzuma:

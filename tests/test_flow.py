@@ -6,6 +6,7 @@ from bipack.flow import (
     FlowNetwork,
     Infeasible,
     SizeTooLarge,
+    capacitated_matching,
     fixed_order_embed,
     lemma4_check_exhaustive,
     max_flow,
@@ -82,6 +83,120 @@ class TestMaxFlow:
         net = FlowNetwork(2, 0, 1)
         with pytest.raises(ValueError):
             net.add_arc(0, 1, -1)
+
+    def test_long_path_network(self):
+        # a level graph 5000 arcs deep: a recursive search would overflow
+        n = 5000
+        net = FlowNetwork(n, 0, n - 1)
+        for u in range(n - 1):
+            net.add_arc(u, u + 1, 1)
+        assert max_flow(net) == 1
+
+    def test_random_networks_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7)
+        for _ in range(300):
+            size = rng.randint(2, 9)
+            net = FlowNetwork(size, 0, size - 1)
+            g = nx.DiGraph()
+            g.add_nodes_from(range(size))
+            for _ in range(rng.randint(0, 3 * size)):
+                u, v = rng.randrange(size), rng.randrange(size)
+                if u == v:
+                    continue
+                c = rng.randint(0, 5)
+                net.add_arc(u, v, c)
+                if g.has_edge(u, v):
+                    g[u][v]["capacity"] += c
+                else:
+                    g.add_edge(u, v, capacity=c)
+            assert max_flow(net) == nx.maximum_flow_value(g, 0, size - 1)
+
+
+def random_hub_instance(rng, balanced=False):
+    """Hub neighbour lists and demands over a small leaf set.
+
+    With balanced=True there are exactly as many leaves as total demand.
+    """
+    k = rng.randint(1, 5)
+    demands = [rng.randint(0, 3) for _ in range(k)]
+    if balanced:
+        leaves = max(1, sum(demands))
+        demands[0] += leaves - sum(demands)
+    else:
+        leaves = rng.randint(1, 8)
+    p = rng.random()
+    neighbours = [
+        [b for b in range(leaves) if rng.random() < p] for _ in range(k)
+    ]
+    return neighbours, demands, leaves
+
+
+def hub_copy_matching_size(neighbours, demands):
+    """Maximum matching of demand-many copies per hub, by networkx."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    copies = [("hub", i, c) for i, d in enumerate(demands) for c in range(d)]
+    g.add_nodes_from(copies)
+    for _, i, c in copies:
+        g.add_edges_from((("hub", i, c), ("leaf", b)) for b in neighbours[i])
+    matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=copies)
+    return len(matching) // 2
+
+
+def check_assignment(neighbours, demands, assigned, deficit):
+    """Host edges only, no leaf reused, no hub over its demand, sizes add up."""
+    seen = set()
+    for nbrs, need, hit in zip(neighbours, demands, assigned):
+        assert set(hit) <= set(nbrs)
+        assert len(hit) <= need
+        if deficit == 0:
+            assert len(hit) == need
+        seen.update(hit)
+    assert len(seen) == sum(len(hit) for hit in assigned)
+    assert len(seen) == sum(demands) - deficit
+
+
+class TestCapacitatedMatching:
+    def test_matches_hub_copy_maximum_matching(self):
+        rng = random.Random(1604)
+        for _ in range(1000):
+            neighbours, demands, _ = random_hub_instance(rng)
+            assigned, deficit = capacitated_matching(neighbours, demands)
+            check_assignment(neighbours, demands, assigned, deficit)
+            assert sum(demands) - deficit == hub_copy_matching_size(
+                neighbours, demands
+            )
+
+    def test_deficit_matches_flow(self):
+        rng = random.Random(9)
+        infeasible = 0
+        for _ in range(1000):
+            neighbours, demands, leaves = random_hub_instance(rng, balanced=True)
+            host = BipartiteGraph(
+                len(demands), leaves,
+                {(i, b) for i, nbrs in enumerate(neighbours) for b in nbrs},
+            )
+            flow = fixed_order_embed(
+                host, BigraphicSequence(tuple(demands), (1,) * leaves)
+            )
+            assigned, deficit = capacitated_matching(neighbours, demands)
+            check_assignment(neighbours, demands, assigned, deficit)
+            if isinstance(flow, Infeasible):
+                infeasible += 1
+                assert deficit == flow.deficit
+            else:
+                assert deficit == 0
+        assert infeasible > 100
+
+    def test_augmenting_path_through_every_hub(self):
+        # greedy gives hub i leaf i+1, so the last hub's only leaf is taken
+        # and the one augmenting path runs back through all 5000 hubs
+        n = 5000
+        neighbours = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        assigned, deficit = capacitated_matching(neighbours, [1] * n)
+        assert deficit == 0
+        assert assigned == [[i] for i in range(n)]
 
 
 class TestLemma4Check:

@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import bipack
 
 from bipack.flow import Infeasible, fixed_order_embed
 from bipack.generators import gen_condition1_counterexample, gen_star_forest
@@ -151,3 +158,39 @@ class TestOracleAgreementSmall:
                 assert not isinstance(oracle_result, BudgetExceeded)
                 if flow_ok:
                     assert isinstance(oracle_result, EmbeddingMap)
+
+
+class TestWitnessChecksUnderOptimize:
+    def test_invalid_witnesses_raise_under_python_O(self):
+        # a verifier that rejects everything must stop both oracles, even
+        # with assert statements compiled away
+        script = textwrap.dedent(
+            """
+            import bipack.oracle as oracle
+            from bipack.graphs import BigraphicSequence, BipartiteGraph
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            oracle.verify_embedding = lambda *args: False
+            oracle.verify_packing = lambda *args: False
+            g = BipartiteGraph(2, 2, {(0, 0), (1, 1)})
+            ones = BigraphicSequence((1, 1), (1, 1))
+            for call in (
+                lambda: oracle.brute_force_embed(g, g),
+                lambda: oracle.brute_force_pack(ones, ones),
+            ):
+                try:
+                    call()
+                except AssertionError:
+                    continue
+                raise SystemExit(f"no error from {call}")
+            """
+        )
+        src = str(Path(bipack.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
