@@ -30,7 +30,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--powers", type=int, nargs="+", default=[8, 10, 12, 14],
                         help="report at n = 2**k for each k given")
-    parser.add_argument("--eps", type=float, default=0.25)
     args = parser.parse_args(argv)
 
     header = f"{'n':>8}  {'checker':<20} {'verdict':<18} notes"
@@ -39,7 +38,7 @@ def main(argv=None):
     for k in args.powers:
         n = 2**k
         seq1, seq2 = regime_pair(n)
-        for report in compare_theorems(seq1, seq2, args.eps):
+        for report in compare_theorems(seq1, seq2):
             print(f"{n:>8}  {report.theorem:<20} {report.verdict:<18} {report.notes}")
     return 0
 

@@ -67,7 +67,7 @@ def cmd_check_conditions(args) -> int:
         return EXIT_OK if report.applies else EXIT_NEGATIVE
     if args.seq1 and args.seq2:
         reports = compare_theorems(
-            parse_sequence(_read(args.seq1)), parse_sequence(_read(args.seq2)), args.eps
+            parse_sequence(_read(args.seq1)), parse_sequence(_read(args.seq2))
         )
         _emit([r.to_json_dict() for r in reports], args.out)
         return EXIT_OK if any(r.applies for r in reports) else EXIT_NEGATIVE
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

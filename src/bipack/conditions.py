@@ -2,8 +2,8 @@
 
 Verdicts use exact integer arithmetic wherever the governing inequality is
 polynomial in the inputs (square-root comparisons are squared first). The
-only transcendental is log n; it is evaluated in float with a small guard
-band documented at ``LOG_GUARD``.
+only transcendental is log n; the thresholds that use it are evaluated in
+float.
 
 Verdict values:
   "applies"            the theorem's inequality holds,
@@ -22,11 +22,6 @@ from .graphs import BigraphicSequence, BipartiteGraph
 APPLIES = "applies"
 DOES_NOT_APPLY = "does-not-apply"
 PRECONDITION_UNMET = "precondition-unmet"
-
-# Guard band for float comparisons against log-based thresholds: verdicts
-# within this distance of the boundary are decided pessimistically toward
-# "does-not-apply" only through exact restatements, never silently flipped.
-LOG_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,8 @@ def degree_cap(eps: float, n: int, log_base: float = math.e) -> float:
     """The sparse-side degree threshold eps^4 * n / (100 * log n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if log_base <= 1:
-        raise ValueError("log base must exceed 1")
+    if not math.isfinite(log_base) or log_base <= 1:
+        raise ValueError("log base must be finite and exceed 1")
     return eps**4 * n / (100.0 * (math.log(n) / math.log(log_base)))
 
 
@@ -247,9 +242,7 @@ def lemma5_conditions(
     )
 
 
-def compare_theorems(
-    seq1: BigraphicSequence, seq2: BigraphicSequence, eps: float
-) -> list:
+def compare_theorems(seq1: BigraphicSequence, seq2: BigraphicSequence) -> list:
     """Run every sequence-level checker on the parameters derived from two
     bigraphic sequences, for side-by-side comparison.
 

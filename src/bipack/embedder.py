@@ -20,12 +20,12 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .conditions import degree_cap, lemma5_conditions, theorem1_conditions
+from .conditions import degree_cap, theorem1_conditions
 from .flow import Infeasible, capacitated_matching
-from .graphs import BipartiteGraph, EmbeddingMap, verify_embedding
+from .graphs import BipartiteGraph, EmbeddingMap, complete_injection, verify_embedding
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +77,10 @@ class EmbedConfig:
             raise ValueError("cap_override is a relaxed-mode knob")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
-        if self.log_base <= 1:
-            raise ValueError("log base must exceed 1")
+        if self.cap_override is not None and not math.isfinite(self.cap_override):
+            raise ValueError("cap must be finite")
+        if not math.isfinite(self.log_base) or self.log_base <= 1:
+            raise ValueError("log base must be finite and exceed 1")
 
     @property
     def delta(self) -> float:
@@ -108,8 +110,6 @@ class PairAssignment:
     """Large bands paired with random B-blocks of matching total demand."""
 
     pairs: tuple  # ((d_vertices, e_vertices), ...) in band-index order
-    used_by_greedy: frozenset
-    a_blocks: tuple  # per band index, the A-vertices of its block
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,8 @@ class EmbedFailure:
             "phase": self.phase,
             "pairIndex": self.pair_index,
             "deficit": self.deficit,
+            "attempts": self.attempts,
+            "notes": self.notes,
         }
 
 
@@ -133,8 +135,11 @@ def band_index(degree: int, cap: float, delta: float) -> int:
     if degree <= 0:
         raise ValueError("band index is defined for positive degrees")
     i = 1
-    while degree <= cap / (1 + delta) ** i:
-        i += 1
+    try:
+        while degree <= cap / (1 + delta) ** i:
+            i += 1
+    except OverflowError:  # (1+delta)^i left the float range: the quotient is 0
+        pass
     return i
 
 
@@ -237,18 +242,14 @@ def assign_blocks_and_pairs(
     target: BipartiteGraph,
     plan: PartitionPlan,
     rng: random.Random,
-    a_perm=None,
     used_by_greedy=frozenset(),
     small_classes=(),
 ) -> PairAssignment:
-    """Random A-blocks for every band plus (D_i, E_i) pairs for large bands.
+    """(D_i, E_i) pairs for the large bands.
 
     E_i blocks are disjoint random subsets of the B-vertices unused after
     the greedy phase, sized exactly to each band's total demand.
     """
-    if a_perm is None:
-        a_perm = rng.sample(range(host.m), host.m)
-    blocks = blocks_from_permutation(plan, a_perm)
     small = set(small_classes)
     large = [
         i
@@ -270,7 +271,7 @@ def assign_blocks_and_pairs(
         size = sum(len(target.a_adj[v]) for v in plan.classes[i])
         pairs.append((plan.classes[i], tuple(unused[offset : offset + size])))
         offset += size
-    return PairAssignment(tuple(pairs), frozenset(used_by_greedy), blocks)
+    return PairAssignment(tuple(pairs))
 
 
 def embed_pair(host: BipartiteGraph, d_images, demands, e_block):
@@ -331,34 +332,6 @@ def empirical_bad_frequency(
     return bad / trials
 
 
-def _diagnose_pair(host, target, plan, d_vertices, d_images, e_block, cfg, idx):
-    """Log the per-pair sufficient-condition verdicts (diagnostics only)."""
-    e_pos = {b: j for j, b in enumerate(e_block)}
-    h_edges = frozenset(
-        (i, e_pos[b])
-        for i, a in enumerate(d_images)
-        for b in host.a_adj[a]
-        if b in e_pos
-    )
-    induced_host = BipartiteGraph(len(d_images), len(e_block), h_edges)
-    demands = [len(target.a_adj[v]) for v in d_vertices]
-    t_edges = []
-    j = 0
-    for i, d in enumerate(demands):
-        for _ in range(d):
-            t_edges.append((i, j))
-            j += 1
-    induced_target = BipartiteGraph(len(d_vertices), len(e_block), frozenset(t_edges))
-    report = lemma5_conditions(
-        induced_host,
-        induced_target,
-        cfg.eps / 2,
-        min(demands) if demands else 0,
-        cfg.delta,
-    )
-    logger.debug("pair %d premise verdicts: %s", idx, report.terms)
-
-
 def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
     """Run the full randomized pipeline; Las-Vegas with bounded retries.
 
@@ -382,18 +355,17 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
         if sum(target.a_degrees) > n:
             return EmbedFailure("conditions", notes="total demand exceeds n")
     plan = partition_degree_classes(target, cfg)
+    small = [
+        i
+        for i in range(1, len(plan.classes))
+        if plan.classes[i]
+        and is_small_class(len(plan.classes[i]), cfg.eps, n, cfg.log_base)
+    ]
     rng = random.Random(cfg.seed)
     last_failure = EmbedFailure("greedy")
     for attempt in range(cfg.retries + 1):
         perm = rng.sample(range(n), n)
-        blocks = blocks_from_permutation(plan, perm)
-        s_to_a = images_from_blocks(plan, blocks)
-        small = [
-            i
-            for i in range(1, len(plan.classes))
-            if plan.classes[i]
-            and is_small_class(len(plan.classes[i]), cfg.eps, n, cfg.log_base)
-        ]
+        s_to_a = images_from_blocks(plan, blocks_from_permutation(plan, perm))
         try:
             greedy_edges, t_assign, used = greedy_embed_small(
                 host, target, plan, small, s_to_a, rng
@@ -414,18 +386,13 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
                 cfg.eps * n / 4,
             )
         assignment = assign_blocks_and_pairs(
-            host, target, plan, rng,
-            a_perm=perm, used_by_greedy=used, small_classes=small,
+            host, target, plan, rng, used_by_greedy=used, small_classes=small
         )
         pair_edges = set()
         failed = None
         for idx, (d_vertices, e_block) in enumerate(assignment.pairs):
             d_images = [s_to_a[v] for v in d_vertices]
             demands = [len(target.a_adj[v]) for v in d_vertices]
-            if logger.isEnabledFor(logging.DEBUG):
-                _diagnose_pair(
-                    host, target, plan, d_vertices, d_images, e_block, cfg, idx
-                )
             result = embed_pair(host, d_images, demands, e_block)
             if isinstance(result, Infeasible):
                 failed = EmbedFailure(
@@ -443,24 +410,12 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
         if failed is not None:
             last_failure = failed
             continue
-        taken = set(t_assign.values())
-        leftovers = [b for b in range(n) if b not in taken]
-        t_to_b = list(t_assign.get(t, -1) for t in range(n))
-        free_iter = iter(leftovers)
-        for t in range(n):
-            if t_to_b[t] == -1:
-                t_to_b[t] = next(free_iter)
         emb = EmbeddingMap(
             tuple(s_to_a[v] for v in range(n)),
-            tuple(t_to_b),
+            complete_injection(t_assign, n, n),
             frozenset(greedy_edges) | pair_edges,
         )
         if not verify_embedding(host, target, emb):
             raise AssertionError("pipeline produced an invalid embedding")
         return emb
-    return EmbedFailure(
-        last_failure.phase,
-        pair_index=last_failure.pair_index,
-        deficit=last_failure.deficit,
-        attempts=cfg.retries + 1,
-    )
+    return replace(last_failure, attempts=cfg.retries + 1)

@@ -37,6 +37,10 @@ class GridPoint:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
+        if self.delta_h < 1:
+            raise ValueError("hub degree delta_h must be at least 1")
+        if self.demand_total is not None and not 0 <= self.demand_total <= self.n:
+            raise ValueError("demand total must lie in [0, n]")
 
 
 @dataclass(frozen=True)

@@ -74,11 +74,13 @@ def condition2_parameters(n: int, c: float) -> tuple:
     """(hub count, hub degree) for the dense-hub construction; raises
     ParameterError when the hubs cannot fit their leaves (the construction
     is asymptotic and its feasible region at small n is nearly empty)."""
-    if c <= 0:
-        raise ParameterError("c must be positive")
+    if not (math.isfinite(c) and c > 0):
+        raise ParameterError("c must be positive and finite")
     if n < 2:
         raise ParameterError("n must be at least 2")
     log_n = math.log(n)
+    if log_n / c > n or c * n / log_n > n:  # also keeps ceil() below finite
+        raise ParameterError(f"c = {c} needs more than {n} hubs or leaves per hub")
     hubs = math.ceil(log_n / c)
     hub_degree = math.ceil(c * n / log_n)
     if hubs * hub_degree > n:

@@ -62,10 +62,6 @@ class BipartiteGraph:
         degs = self.a_degrees + self.b_degrees
         return min(degs) if degs else 0
 
-    def max_degree(self) -> int:
-        degs = self.a_degrees + self.b_degrees
-        return max(degs) if degs else 0
-
 
 @dataclass(frozen=True)
 class BigraphicSequence:
@@ -99,12 +95,6 @@ class BigraphicSequence:
     @property
     def b_sum(self) -> int:
         return sum(self.b_degrees)
-
-    def trivially_unrealizable(self) -> bool:
-        """True if some degree exceeds the opposite class size."""
-        return any(d > self.n for d in self.a_degrees) or any(
-            d > self.m for d in self.b_degrees
-        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +132,17 @@ class PackingWitness:
     def __post_init__(self):
         object.__setattr__(self, "g1_edges", frozenset(self.g1_edges))
         object.__setattr__(self, "g2_edges", frozenset(self.g2_edges))
+
+
+def complete_injection(partial: dict, size: int, codomain: int) -> tuple:
+    """Extend an injective map on part of range(size) to all of it.
+
+    Unmapped keys, in increasing order, take the values of range(codomain)
+    that partial leaves unused, in increasing order.
+    """
+    taken = set(partial.values())
+    free = (v for v in range(codomain) if v not in taken)
+    return tuple(partial[k] if k in partial else next(free) for k in range(size))
 
 
 def degree_sequence_of(g: BipartiteGraph) -> BigraphicSequence:
@@ -242,6 +243,9 @@ def parse_graph(text: str) -> BipartiteGraph:
     edges = frozenset(
         (int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)
     )
+    duplicates = len(rest) // 2 - len(edges)
+    if duplicates:
+        raise ValueError(f"graph text lists {duplicates} duplicate edge line(s)")
     return BipartiteGraph(m, n, edges)
 
 
@@ -256,6 +260,8 @@ def parse_sequence(text: str) -> BigraphicSequence:
     if len(tokens) < 2:
         raise ValueError("sequence text needs at least 'm n'")
     m, n = int(tokens[0]), int(tokens[1])
+    if m < 0 or n < 0:
+        raise ValueError("class sizes must be non-negative")
     vals = [int(t) for t in tokens[2:]]
     if len(vals) != m + n:
         raise ValueError(f"expected {m}+{n} degrees, got {len(vals)}")

@@ -19,6 +19,7 @@ from .graphs import (
     EmbeddingMap,
     PackingWitness,
     complement_in_biclique,
+    complete_injection,
     verify_embedding,
     verify_packing,
 )
@@ -126,14 +127,7 @@ def brute_force_embed(
                 partial = match_leaves(s_to_a)
                 if partial is None:
                     return None
-                free = iter(
-                    b for b in range(host.n) if b not in partial.values()
-                )
-                t_to_b = [
-                    partial[t] if t in partial else next(free)
-                    for t in range(target.n)
-                ]
-                return s_to_a, t_to_b
+                return s_to_a, complete_injection(partial, target.n, host.n)
             t_map = place_t(s_to_a)
             if t_map is None:
                 return None

@@ -161,7 +161,7 @@ def test_criterion_6_remark_comparisons():
     seq1 = BigraphicSequence((d1,) + (1,) * (n - 1), (1,) * n)
     d2 = -(-n // 2)
     seq2 = BigraphicSequence((d2,) * n, (d2,) * n)
-    reports = {r.theorem: r for r in compare_theorems(seq1, seq2, 0.25)}
+    reports = {r.theorem: r for r in compare_theorems(seq1, seq2)}
     ok = all(
         reports[t].verdict == "does-not-apply"
         for t in ("sauer-spencer", "diemunsch-graphic", "diemunsch-bigraphic")

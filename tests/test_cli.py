@@ -62,7 +62,8 @@ class TestEmbed:
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"phase", "pairIndex", "deficit"}
+        assert set(payload) == {"phase", "pairIndex", "deficit", "attempts", "notes"}
+        assert payload["attempts"] == 6
 
     def test_deterministic_output(self, files, capsys):
         args = [
@@ -147,3 +148,28 @@ class TestExperimentCommand:
         assert code == 1  # the degree cap fails at n=4
         report = json.loads(capsys.readouterr().out)
         assert report["theorem"] == "theorem1"
+
+
+USAGE_ERRORS = [
+    ["embed", "--host", "{tmp}", "--target", "{matching}", "--eps", "0.4", "--cap", "2"],
+    ["embed", "--host", "{k44}", "--target", "{matching}", "--eps", "0.4", "--cap", "2",
+     "--out", "{tmp}"],
+    ["embed", "--host", "{k44}", "--target", "{matching}", "--eps", "0.4", "--cap", "inf"],
+    ["embed", "--host", "{k44}", "--target", "{matching}", "--eps", "0.4",
+     "--mode", "strict", "--log-base", "inf"],
+    ["check-conditions", "--host", "{k44}", "--target", "{matching}", "--log-base", "inf"],
+    ["gen", "--kind", "condition2", "--n", "64", "--c", "inf", "--out", "{tmp}/h.txt"],
+    ["experiment", "--n", "8", "--delta-h", "0", "--trials", "1"],
+    ["experiment", "--n", "8", "--delta-h", "-2", "--trials", "1"],
+    ["experiment", "--n", "8", "--demand-total", "-3", "--trials", "1"],
+    ["oracle", "--host", "{dup}", "--target", "{matching}"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
+def test_bad_input_is_usage_error(files, capsys, argv):
+    dup = files["tmp"] / "dup.txt"
+    dup.write_text("4 4\n0 0\n0 0\n")
+    names = {key: str(path) for key, path in files.items()}
+    assert main([arg.format(dup=dup, **names) for arg in argv]) == 2
+    assert "error" in capsys.readouterr().err

@@ -184,13 +184,13 @@ class TestLemma5Conditions:
 class TestCompareTheorems:
     def test_trivial_matching_pair(self):
         ones = BigraphicSequence((1,) * 5, (1,) * 5)
-        reports = {r.theorem: r for r in compare_theorems(ones, ones, 0.25)}
+        reports = {r.theorem: r for r in compare_theorems(ones, ones)}
         assert reports["sauer-spencer"].verdict == APPLIES  # 1 < 10/2
 
     def test_delta_min_zero_gives_unmet(self):
         s1 = BigraphicSequence((1, 0), (1, 0))
         s2 = BigraphicSequence((1, 1), (1, 1))
-        reports = {r.theorem: r for r in compare_theorems(s1, s2, 0.25)}
+        reports = {r.theorem: r for r in compare_theorems(s1, s2)}
         assert reports["diemunsch-graphic"].verdict == PRECONDITION_UNMET
         assert reports["diemunsch-bigraphic"].verdict == PRECONDITION_UNMET
 
@@ -201,14 +201,14 @@ class TestCompareTheorems:
         s1 = BigraphicSequence((d1,) + (1,) * (n - 1), (1,) * n)
         d2 = n // 2
         s2 = BigraphicSequence((d2,) * n, (d2,) * n)
-        reports = {r.theorem: r for r in compare_theorems(s1, s2, 0.25)}
+        reports = {r.theorem: r for r in compare_theorems(s1, s2)}
         assert reports["sauer-spencer"].verdict == DOES_NOT_APPLY
         assert reports["diemunsch-graphic"].verdict == DOES_NOT_APPLY
         assert reports["diemunsch-bigraphic"].verdict == DOES_NOT_APPLY
 
     def test_reports_serialize(self):
         ones = BigraphicSequence((1,), (1,))
-        for r in compare_theorems(ones, ones, 0.25):
+        for r in compare_theorems(ones, ones):
             d = r.to_json_dict()
             assert set(d) == {"theorem", "verdict", "terms", "notes"}
 

@@ -52,6 +52,14 @@ class TestBandIndex:
             i = band_index(deg, cap, delta)
             assert cap / (1 + delta) ** i < deg <= cap / (1 + delta) ** (i - 1)
 
+    def test_cap_near_float_max(self):
+        # (1+delta)^i passes the float range before cap/(1+delta)^i drops below 1
+        cap, delta = 1.79e308, 0.05
+        i = band_index(1, cap, delta)
+        assert 1 <= cap / (1 + delta) ** (i - 1)
+        with pytest.raises(OverflowError):
+            (1 + delta) ** i
+
 
 class TestPartition:
     def test_mixed_degrees(self):
@@ -314,3 +322,4 @@ class TestEmbedPipeline:
         assert isinstance(result, EmbedFailure)
         assert result.attempts == 3
         assert result.to_json_dict()["phase"] in {"greedy", "pairs"}
+        assert result.to_json_dict()["attempts"] == 3

@@ -8,6 +8,7 @@ from bipack.graphs import (
     EmbeddingMap,
     PackingWitness,
     complement_in_biclique,
+    complete_injection,
     degree_sequence_of,
     format_graph,
     format_sequence,
@@ -154,3 +155,28 @@ class TestTextFormats:
     def test_sequence_length_check(self):
         with pytest.raises(ValueError):
             parse_sequence("2 2\n1 1\n1\n")
+
+    def test_graph_duplicate_edge_lines_rejected(self):
+        with pytest.raises(ValueError, match="2 duplicate"):
+            parse_graph("2 2\n0 0\n1 1\n0 0\n0 0\n")
+
+    def test_sequence_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            parse_sequence("-1 3\n1 1\n")
+
+
+class TestCompleteInjection:
+    def test_fills_in_increasing_order(self):
+        assert complete_injection({1: 0, 3: 4}, 5, 6) == (1, 0, 2, 4, 3)
+
+    @given(st.data())
+    def test_result_is_injective_and_extends_partial(self, data):
+        codomain = data.draw(st.integers(0, 8))
+        size = data.draw(st.integers(0, codomain))
+        keys = data.draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True, max_size=size))
+        values = data.draw(st.permutations(range(codomain)))[: len(keys)]
+        partial = dict(zip(keys, values))
+        full = complete_injection(partial, size, codomain)
+        assert len(full) == size and len(set(full)) == size
+        assert all(full[k] == v for k, v in partial.items())
+        assert all(0 <= v < codomain for v in full)
