@@ -5,7 +5,7 @@ to random contiguous blocks of the host's A-side, satisfy small bands
 greedily from unused B-neighbors, split the remaining B-vertices into
 random blocks matched to the large bands, and solve each (band, block)
 pair exactly as a b-matching (every leaf takes one hub, each hub its
-degree) by augmenting paths on the host's adjacency. Any stuck phase
+degree) by augmenting paths on the host's rows. Any stuck phase
 triggers a rerandomized retry; a returned embedding is always verified
 first.
 
@@ -25,7 +25,13 @@ from typing import Optional
 
 from .conditions import degree_cap, theorem1_conditions
 from .flow import Infeasible, capacitated_matching
-from .graphs import BipartiteGraph, EmbeddingMap, complete_injection, verify_embedding
+from .graphs import (
+    BipartiteGraph,
+    EmbeddingMap,
+    complete_injection,
+    set_bits,
+    verify_embedding,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -91,18 +97,17 @@ class EmbedConfig:
 class PartitionPlan:
     """Degree-band partition of the hub side.
 
-    classes[0] holds the isolated S-vertices; for i >= 1 every vertex u in
-    classes[i] has cap/(1+delta)^i < d(u) <= cap/(1+delta)^(i-1).
+    classes[0] holds the isolated S-vertices; classes[1:] are the non-empty
+    bands in increasing band order, and bands[j] is the band index of
+    classes[j] (bands[0] = 0): every vertex u in classes[j], j >= 1, has
+    cap/(1+delta)^i < d(u) <= cap/(1+delta)^(i-1) with i = bands[j].
     """
 
     eps: float
     delta: float
     cap: float
     classes: tuple
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes) - 1
+    bands: tuple
 
 
 @dataclass(frozen=True)
@@ -131,46 +136,76 @@ class EmbedFailure:
 
 
 def band_index(degree: int, cap: float, delta: float) -> int:
-    """Smallest i >= 1 with cap/(1+delta)^i < degree (found by iteration)."""
+    """Smallest i >= 1 with cap/(1+delta)^i < degree.
+
+    A logarithm gives the estimate; the exact inequality then moves it to
+    the answer, by at most a step either way.
+    """
     if degree <= 0:
         raise ValueError("band index is defined for positive degrees")
+    if 1 + delta == 1:
+        raise ValueError("delta is too small for the bands to shrink")
+
+    def above(i):  # degree <= cap/(1+delta)^i
+        try:
+            return degree <= cap / (1 + delta) ** i
+        except OverflowError:  # (1+delta)^i left the float range: the quotient is 0
+            return False
+
     i = 1
-    try:
-        while degree <= cap / (1 + delta) ** i:
-            i += 1
-    except OverflowError:  # (1+delta)^i left the float range: the quotient is 0
-        pass
+    if cap > degree:
+        i = max(1, math.floor(math.log(cap / degree) / math.log(1 + delta)) + 1)
+    while i > 1 and not above(i - 1):
+        i -= 1
+    while above(i):
+        i += 1
     return i
+
+
+def _leaf_cover(target: BipartiteGraph) -> Optional[int]:
+    """Mask of the T-vertices the target uses, or None when two S-vertices
+    share one (some T-degree is 2 or more)."""
+    cover = 0
+    for row in target.rows:
+        if cover & row:
+            return None
+        cover |= row
+    return cover
 
 
 def partition_degree_classes(
     target: BipartiteGraph, cfg: EmbedConfig
 ) -> PartitionPlan:
-    """Partition the S-side into degree bands below the cap."""
+    """Partition the S-side into degree bands below the cap.
+
+    Raises BadTarget unless every T-degree is at most 1 (exactly 1 in
+    strict mode), and CapViolation for an S-degree above the cap.
+    """
     n = target.n
+    cover = _leaf_cover(target)
     if cfg.mode == STRICT:
-        cap = degree_cap(cfg.eps, n, cfg.log_base)
-        if any(d != 1 for d in target.b_degrees):
+        if cover != (1 << n) - 1:
             raise BadTarget("strict mode requires every T-degree to equal 1")
+        cap = degree_cap(cfg.eps, n, cfg.log_base)
     else:
+        if cover is None:
+            raise BadTarget("some T-degree exceeds 1")
         if cfg.cap_override is None:
             raise ValueError("relaxed mode needs cap_override")
         cap = cfg.cap_override
-        if any(d > 1 for d in target.b_degrees):
-            raise BadTarget("some T-degree exceeds 1")
     delta = cfg.delta
-    classes = [[]]
+    isolated = []
+    bands = {}
     for v, d in enumerate(target.a_degrees):
         if d == 0:
-            classes[0].append(v)
+            isolated.append(v)
             continue
         if (cfg.mode == STRICT and d >= cap) or d > cap:
             raise CapViolation(f"S-vertex {v} has degree {d}, cap {cap}")
-        i = band_index(d, cap, delta)
-        while len(classes) <= i:
-            classes.append([])
-        classes[i].append(v)
-    return PartitionPlan(cfg.eps, delta, cap, tuple(tuple(c) for c in classes))
+        bands.setdefault(band_index(d, cap, delta), []).append(v)
+    order = sorted(bands)
+    classes = (tuple(isolated),) + tuple(tuple(bands[i]) for i in order)
+    return PartitionPlan(cfg.eps, delta, cap, classes, (0, *order))
 
 
 def is_small_class(size: int, eps: float, n: int, log_base: float = math.e) -> bool:
@@ -219,22 +254,22 @@ def greedy_embed_small(
     Returns (edges, t_to_b assignments, used B set); raises GreedyStuck
     when some image runs out of unused neighbors.
     """
-    used = set()
+    used = 0  # mask of the B-vertices taken so far
     edges = set()
     t_assign = {}
     for i in small_classes:
         for v in plan.classes[i]:
             a = s_to_a[v]
-            need = len(target.a_adj[v])
-            candidates = sorted(host.a_adj[a] - used)
-            if len(candidates) < need:
-                raise GreedyStuck(v, len(candidates), need)
-            chosen = rng.sample(candidates, need)
-            for t, b in zip(sorted(target.a_adj[v]), chosen):
+            leaves = set_bits(target.rows[v])
+            candidates = set_bits(host.rows[a] & ~used)
+            if len(candidates) < len(leaves):
+                raise GreedyStuck(v, len(candidates), len(leaves))
+            chosen = rng.sample(candidates, len(leaves))
+            for t, b in zip(leaves, chosen):
                 t_assign[t] = b
                 edges.add((a, b))
-                used.add(b)
-    return frozenset(edges), t_assign, frozenset(used)
+                used |= 1 << b
+    return frozenset(edges), t_assign, frozenset(set_bits(used))
 
 
 def assign_blocks_and_pairs(
@@ -257,9 +292,8 @@ def assign_blocks_and_pairs(
         if plan.classes[i] and i not in small
     ]
     unused = [b for b in range(host.n) if b not in used_by_greedy]
-    demand_total = sum(
-        len(target.a_adj[v]) for i in large for v in plan.classes[i]
-    )
+    degrees = target.a_degrees
+    demand_total = sum(degrees[v] for i in large for v in plan.classes[i])
     if demand_total > len(unused):
         raise InsufficientB(
             f"large bands demand {demand_total} B-vertices, {len(unused)} unused"
@@ -268,7 +302,7 @@ def assign_blocks_and_pairs(
     pairs = []
     offset = 0
     for i in large:
-        size = sum(len(target.a_adj[v]) for v in plan.classes[i])
+        size = sum(degrees[v] for v in plan.classes[i])
         pairs.append((plan.classes[i], tuple(unused[offset : offset + size])))
         offset += size
     return PairAssignment(tuple(pairs))
@@ -286,8 +320,11 @@ def embed_pair(host: BipartiteGraph, d_images, demands, e_block):
     total = sum(demands)
     if total != len(e_block):
         return Infeasible(abs(total - len(e_block)), reason="side-sums")
-    e_set = frozenset(e_block)
-    neighbours = [host.a_adj[a] & e_set for a in d_images]
+    e_mask = 0
+    for b in e_block:
+        e_mask |= 1 << b
+    rows = host.rows
+    neighbours = [set_bits(rows[a] & e_mask) for a in d_images]
     assigned, deficit = capacitated_matching(neighbours, demands)
     if deficit:
         return Infeasible(deficit)
@@ -349,18 +386,17 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
             "strict mode checks the finite hypotheses only; the guarantee "
             "itself holds for sufficiently large n (threshold unspecified)"
         )
-    else:
-        if any(d > 1 for d in target.b_degrees):
-            return EmbedFailure("conditions", notes="some T-degree exceeds 1")
-        if sum(target.a_degrees) > n:
-            return EmbedFailure("conditions", notes="total demand exceeds n")
-    plan = partition_degree_classes(target, cfg)
+    try:
+        plan = partition_degree_classes(target, cfg)
+    except BadTarget as exc:  # some T-degree exceeds 1: no star forest
+        return EmbedFailure("conditions", notes=str(exc))
     small = [
         i
         for i in range(1, len(plan.classes))
         if plan.classes[i]
         and is_small_class(len(plan.classes[i]), cfg.eps, n, cfg.log_base)
     ]
+    degrees = target.a_degrees
     rng = random.Random(cfg.seed)
     last_failure = EmbedFailure("greedy")
     for attempt in range(cfg.retries + 1):
@@ -392,7 +428,7 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
         failed = None
         for idx, (d_vertices, e_block) in enumerate(assignment.pairs):
             d_images = [s_to_a[v] for v in d_vertices]
-            demands = [len(target.a_adj[v]) for v in d_vertices]
+            demands = [degrees[v] for v in d_vertices]
             result = embed_pair(host, d_images, demands, e_block)
             if isinstance(result, Infeasible):
                 failed = EmbedFailure(
@@ -405,7 +441,7 @@ def embed(host: BipartiteGraph, target: BipartiteGraph, cfg: EmbedConfig):
             for v, need in zip(d_vertices, demands):
                 hit = sorted(b for _, b in result[offset : offset + need])
                 offset += need
-                for t, b in zip(sorted(target.a_adj[v]), hit):
+                for t, b in zip(set_bits(target.rows[v]), hit):
                     t_assign[t] = b
         if failed is not None:
             last_failure = failed

@@ -125,14 +125,16 @@ def run_trial(point: GridPoint, seed: int, mode: str, retries: int) -> TrialReco
 
 
 def summarize(spec: ExperimentSpec, records) -> list:
+    tally = {}  # (n, p, delta_h, eps, generator) -> [trials, successes]
+    for r in records:
+        counts = tally.setdefault((r.n, r.p, r.delta_h, r.eps, r.generator), [0, 0])
+        counts[0] += 1
+        counts[1] += r.success
     rows = []
     for point in spec.grid:
-        mine = [
-            r
-            for r in records
-            if (r.n, r.p, r.delta_h, r.eps, r.generator)
-            == (point.n, point.p, point.delta_h, point.eps, point.generator)
-        ]
+        trials, successes = tally.get(
+            (point.n, point.p, point.delta_h, point.eps, point.generator), (0, 0)
+        )
         rows.append(
             {
                 "n": point.n,
@@ -140,8 +142,8 @@ def summarize(spec: ExperimentSpec, records) -> list:
                 "deltaH": point.delta_h,
                 "eps": point.eps,
                 "mode": spec.mode,
-                "trials": len(mine),
-                "successes": sum(r.success for r in mine),
+                "trials": trials,
+                "successes": successes,
             }
         )
     return rows

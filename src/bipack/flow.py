@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import BigraphicSequence, BipartiteGraph, DimensionMismatch
+from .graphs import BigraphicSequence, BipartiteGraph, DimensionMismatch, set_bits
 
 
 class SizeTooLarge(ValueError):
@@ -221,19 +221,14 @@ def _best_violation_for_side(a_demands, b_demands, nbr_masks, m, n):
     """
     best = None  # (deficiency, x_tuple, x_mask)
     for x_mask in range(1 << m):
-        pi_x = 0
-        mm = x_mask
-        while mm:
-            low = mm & -mm
-            pi_x += a_demands[low.bit_length() - 1]
-            mm ^= low
-        bound = pi_x
+        x_bits = set_bits(x_mask)
+        bound = sum([a_demands[i] for i in x_bits])
         for b in range(n):
             e_b = (nbr_masks[b] & x_mask).bit_count()
             bound -= min(e_b, b_demands[b])
         if bound <= 0:
             continue
-        x_tuple = tuple(i for i in range(m) if x_mask >> i & 1)
+        x_tuple = tuple(x_bits)
         if best is None or bound > best[0] or (bound == best[0] and x_tuple < best[1]):
             best = (bound, x_tuple, x_mask)
     if best is None:
@@ -246,7 +241,7 @@ def _best_violation_for_side(a_demands, b_demands, nbr_masks, m, n):
         rhs = sum(e[b] if y_mask >> b & 1 else b_demands[b] for b in range(n))
         if sum(a_demands[i] for i in x_tuple) - rhs != deficiency:
             continue
-        y_tuple = tuple(b for b in range(n) if y_mask >> b & 1)
+        y_tuple = tuple(set_bits(y_mask))
         if best_y is None or y_tuple < best_y:
             best_y = y_tuple
     lhs = sum(a_demands[i] for i in x_tuple)
@@ -270,11 +265,11 @@ def lemma4_check_exhaustive(
         raise SizeTooLarge(
             f"m+n = {host.m + host.n} exceeds enumeration bound {max_vertices}"
         )
-    a_nbr = [0] * host.m  # bitmask of B-neighbors per a
+    a_nbr = host.rows  # bitmask of B-neighbors per a
     b_nbr = [0] * host.n
-    for a, b in host.edges:
-        a_nbr[a] |= 1 << b
-        b_nbr[b] |= 1 << a
+    for a, row in enumerate(a_nbr):
+        for b in set_bits(row):
+            b_nbr[b] |= 1 << a
     v_a = _best_violation_for_side(
         demand.a_degrees, demand.b_degrees, b_nbr, host.m, host.n
     )
@@ -307,8 +302,9 @@ def fixed_order_embed(host: BipartiteGraph, demand: BigraphicSequence):
     for a in range(m):
         net.add_arc(net.source, a, demand.a_degrees[a])
     edge_arcs = {}
-    for a, b in sorted(host.edges):
-        edge_arcs[(a, b)] = net.add_arc(a, m + b, 1)
+    for a, row in enumerate(host.rows):
+        for b in set_bits(row):
+            edge_arcs[(a, b)] = net.add_arc(a, m + b, 1)
     for b in range(n):
         net.add_arc(m + b, net.sink, demand.b_degrees[b])
     value = max_flow(net)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 import random
 
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, check_sides
+
+# Maps the 0/1 bytes of a row's coin flips to the digits int(..., 2) reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ParameterError(ValueError):
@@ -13,19 +16,24 @@ class ParameterError(ValueError):
 
 
 def gen_random_bipartite(n: int, p: float, rng: random.Random) -> BipartiteGraph:
-    """Each of the n*n possible edges appears independently with probability p."""
+    """Each of the n*n possible edges appears independently with probability p.
+
+    Edge (a, b) is present when the (a*n + b)-th rng.random() draw is below
+    p (no draws at p = 1); each row is built whole from its n draws.
+    """
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
+    check_sides(n, n)
     if p == 1.0:
-        edges = frozenset((a, b) for a in range(n) for b in range(n))
+        rows = [(1 << n) - 1] * n
     else:
-        edges = frozenset(
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if rng.random() < p
-        )
-    return BipartiteGraph(n, n, edges)
+        draw = rng.random
+        cols = range(n)
+        rows = [
+            int(bytes([draw() < p for _ in cols])[::-1].translate(_DIGITS), 2)
+            for _ in cols
+        ]
+    return BipartiteGraph.from_rows(n, n, rows)
 
 
 def gen_star_forest(n: int, hub_degrees) -> BipartiteGraph:
@@ -34,6 +42,7 @@ def gen_star_forest(n: int, hub_degrees) -> BipartiteGraph:
     Remaining S-vertices are isolated; every T-vertex ends with degree at
     most 1.
     """
+    check_sides(n, n)
     hub_degrees = list(hub_degrees)
     if len(hub_degrees) > n:
         raise ParameterError("more hubs than S-vertices")
@@ -43,13 +52,12 @@ def gen_star_forest(n: int, hub_degrees) -> BipartiteGraph:
         raise ParameterError(
             f"total demand {sum(hub_degrees)} exceeds the leaf supply {n}"
         )
-    edges = set()
+    rows = [0] * n
     leaf = 0
     for s, d in enumerate(hub_degrees):
-        for _ in range(d):
-            edges.add((s, leaf))
-            leaf += 1
-    return BipartiteGraph(n, n, frozenset(edges))
+        rows[s] = ((1 << d) - 1) << leaf
+        leaf += d
+    return BipartiteGraph.from_rows(n, n, rows)
 
 
 def gen_condition1_counterexample(n: int) -> BipartiteGraph:
@@ -59,15 +67,11 @@ def gen_condition1_counterexample(n: int) -> BipartiteGraph:
     n/2+1."""
     if n < 4 or n % 2 != 0:
         raise ParameterError("n must be even and at least 4")
+    check_sides(n, n)
     half = n // 2
-    edges = set()
-    for a in range(half + 1):
-        for b in range(half - 1):
-            edges.add((a, b))
-    for a in range(half + 1, n):
-        for b in range(half - 1, n):
-            edges.add((a, b))
-    return BipartiteGraph(n, n, frozenset(edges))
+    low = (1 << (half - 1)) - 1  # B-vertices 0..half-2
+    high = ((1 << n) - 1) ^ low
+    return BipartiteGraph.from_rows(n, n, [low] * (half + 1) + [high] * (n - half - 1))
 
 
 def condition2_parameters(n: int, c: float) -> tuple:

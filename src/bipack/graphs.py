@@ -1,62 +1,123 @@
 """Core bipartite graph and degree-sequence types.
 
 Vertex identity is positional: A-side vertices are 0..m-1, B-side vertices
-are 0..n-1, and an edge is an (a, b) index pair. Sequences are never
-auto-sorted; checkers that need sortedness sort copies internally.
+are 0..n-1, and an edge is an (a, b) index pair. A graph's canonical state
+is ``rows``: one int per A-vertex whose bit b is set exactly when (a, b) is
+an edge. Neighbourhoods, degrees and edge tests are mask arithmetic on the
+rows; ``edges``, ``a_adj`` and ``b_adj`` are views built from the rows on
+first use, for the file format, the oracles and callers that want sets.
+Sequences are never auto-sorted; checkers that need sortedness sort copies
+internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable
+
+# Largest class size: a rows tuple this long takes 4 MB, and every
+# per-vertex structure is allocated only after this check.
+MAX_SIDE = 1 << 19
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class DimensionMismatch(ValueError):
     """Raised when maps or sequences do not match the graph dimensions."""
 
 
-@dataclass(frozen=True)
+def set_bits(mask: int) -> list:
+    """Positions of the set bits of a non-negative mask, in increasing order."""
+    if mask.bit_count() * 8 <= mask.bit_length():
+        # Few bits: step from one to the next instead of scanning the row.
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+
+
+def check_sides(m: int, n: int) -> None:
+    """Raise ValueError unless 0 <= m, n <= MAX_SIDE."""
+    if m < 0 or n < 0:
+        raise ValueError("class sizes must be non-negative")
+    if m > MAX_SIDE or n > MAX_SIDE:
+        raise ValueError(f"class sizes {m}x{n} exceed the limit {MAX_SIDE}")
+
+
+@dataclass(frozen=True, init=False)
 class BipartiteGraph:
-    """A simple bipartite graph on vertex classes of sizes m and n."""
+    """A simple bipartite graph on vertex classes of sizes m and n.
+
+    ``BipartiteGraph(m, n, edges)`` builds the rows from (a, b) pairs;
+    ``BipartiteGraph.from_rows(m, n, rows)`` takes them as they are.
+    """
 
     m: int
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    rows: tuple
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("class sizes must be non-negative")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for a, b in self.edges:
-            if not (0 <= a < self.m and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for {self.m}x{self.n}")
+    def __init__(self, m: int, n: int, edges: Iterable = ()):
+        check_sides(m, n)
+        rows = [0] * m
+        for a, b in edges:
+            if not (0 <= a < m and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for {m}x{n}")
+            rows[a] |= 1 << b
+        self._set(m, n, tuple(rows))
+
+    @classmethod
+    def from_rows(cls, m: int, n: int, rows: Iterable) -> "BipartiteGraph":
+        rows = tuple(rows)
+        check_sides(m, n)
+        if len(rows) != m:
+            raise ValueError(f"{len(rows)} rows for {m} A-vertices")
+        limit = 1 << n
+        if not all(0 <= row < limit for row in rows):
+            raise ValueError(f"a row has bits outside range({n})")
+        g = cls.__new__(cls)
+        g._set(m, n, rows)
+        return g
+
+    def _set(self, m, n, rows):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The (a, b) edge pairs."""
+        return frozenset(
+            (a, b) for a, row in enumerate(self.rows) for b in set_bits(row)
+        )
 
     @cached_property
     def a_adj(self) -> tuple:
         """Neighbor sets of A-side vertices, indexed by a."""
-        adj = [set() for _ in range(self.m)]
-        for a, b in self.edges:
-            adj[a].add(b)
-        return tuple(frozenset(s) for s in adj)
+        return tuple(frozenset(set_bits(row)) for row in self.rows)
 
     @cached_property
     def b_adj(self) -> tuple:
-        adj = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
+        adj = [[] for _ in range(self.n)]
+        for a, row in enumerate(self.rows):
+            for b in set_bits(row):
+                adj[b].append(a)
+        return tuple(map(frozenset, adj))
 
     @property
     def a_degrees(self) -> list:
-        return [len(s) for s in self.a_adj]
+        return [row.bit_count() for row in self.rows]
 
     @property
     def b_degrees(self) -> list:
         return [len(s) for s in self.b_adj]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges
+        return 0 <= a < self.m and 0 <= b < self.n and bool(self.rows[a] >> b & 1)
 
     def min_degree(self) -> int:
         degs = self.a_degrees + self.b_degrees
@@ -152,10 +213,8 @@ def degree_sequence_of(g: BipartiteGraph) -> BigraphicSequence:
 
 def complement_in_biclique(g: BipartiteGraph) -> BipartiteGraph:
     """K_{m,n} minus g's edges."""
-    edges = frozenset(
-        (a, b) for a in range(g.m) for b in range(g.n) if (a, b) not in g.edges
-    )
-    return BipartiteGraph(g.m, g.n, edges)
+    full = (1 << g.n) - 1
+    return BipartiteGraph.from_rows(g.m, g.n, (full ^ row for row in g.rows))
 
 
 def verify_embedding(
@@ -179,13 +238,15 @@ def verify_embedding(
         return False
     if len(set(emb.t_to_b)) != len(emb.t_to_b):
         return False
-    if not emb.edge_image <= host.edges:
+    if not all(host.has_edge(a, b) for a, b in emb.edge_image):
         return False
-    if len(emb.edge_image) != len(target.edges):
+    if len(emb.edge_image) != sum(target.a_degrees):
         return False
-    for s, t in target.edges:
-        if (emb.s_to_a[s], emb.t_to_b[t]) not in emb.edge_image:
-            return False
+    for s, row in enumerate(target.rows):
+        if row:
+            a = emb.s_to_a[s]
+            if any((a, emb.t_to_b[t]) not in emb.edge_image for t in set_bits(row)):
+                return False
     return True
 
 
@@ -236,23 +297,25 @@ def parse_graph(text: str) -> BipartiteGraph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("graph text needs at least 'm n'")
-    m, n = int(tokens[0]), int(tokens[1])
-    rest = tokens[2:]
-    if len(rest) % 2 != 0:
+    if len(tokens) % 2 != 0:
         raise ValueError("dangling edge endpoint in graph text")
-    edges = frozenset(
-        (int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)
-    )
-    duplicates = len(rest) // 2 - len(edges)
+    values = list(map(int, tokens))
+    g = BipartiteGraph(values[0], values[1], zip(values[2::2], values[3::2]))
+    duplicates = len(values) // 2 - 1 - sum(g.a_degrees)
     if duplicates:
         raise ValueError(f"graph text lists {duplicates} duplicate edge line(s)")
-    return BipartiteGraph(m, n, edges)
+    return g
 
 
 def format_graph(g: BipartiteGraph) -> str:
-    lines = [f"{g.m} {g.n}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    """Header line, then one "a b" line per edge in increasing (a, b) order."""
+    names = [f"{b}\n" for b in range(g.n)]
+    parts = [f"{g.m} {g.n}\n"]
+    for a, row in enumerate(g.rows):
+        if row:
+            head = f"{a} "
+            parts.append(head + head.join([names[b] for b in set_bits(row)]))
+    return "".join(parts)
 
 
 def parse_sequence(text: str) -> BigraphicSequence:

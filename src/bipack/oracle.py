@@ -20,6 +20,7 @@ from .graphs import (
     PackingWitness,
     complement_in_biclique,
     complete_injection,
+    set_bits,
     verify_embedding,
     verify_packing,
 )
@@ -79,7 +80,8 @@ def brute_force_embed(
     s_order = sorted(range(target.m), key=lambda s: -len(target.a_adj[s]))
     hubs = [s for s in range(target.m) if target.a_adj[s]]
     hub_demands = [len(target.a_adj[s]) for s in hubs]
-    sorted_b_adj = [sorted(nbrs) for nbrs in host.a_adj]
+    host_degrees = host.a_degrees
+    sorted_b_adj = [set_bits(row) for row in host.rows]
 
     def match_leaves(s_to_a):
         """t -> b for every T-vertex with an S-neighbour, or None."""
@@ -105,9 +107,7 @@ def brute_force_embed(
             for b in range(host.n):
                 if b in used:
                     continue
-                if any(
-                    (s_to_a[s], b) not in host.edges for s in target.b_adj[t]
-                ):
+                if not all(host.has_edge(s_to_a[s], b) for s in target.b_adj[t]):
                     continue
                 t_to_b[t] = b
                 used.add(b)
@@ -135,7 +135,7 @@ def brute_force_embed(
         s = s_order[idx]
         need = len(target.a_adj[s])
         for a in range(host.m):
-            if a in used_a or len(host.a_adj[a]) < need:
+            if a in used_a or host_degrees[a] < need:
                 continue
             s_to_a[s] = a
             used_a.add(a)
@@ -189,28 +189,24 @@ def brute_force_pack(
         return NoPacking()
     want_a = sorted(seq1.a_degrees)
     want_b = sorted(seq1.b_degrees)
-    cells = [(a, b) for a in range(m) for b in range(n)]
     perms2 = [
         BigraphicSequence(pa, pb)
         for pa in _distinct_permutations(seq2.a_degrees)
         for pb in _distinct_permutations(seq2.b_degrees)
     ]
+    full = (1 << n) - 1
     nodes = 0
-    for mask in range(1 << len(cells)):
+    # Bit a*n + b of mask is cell (a, b), so row a is the mask's a-th n-bit slice.
+    for mask in range(1 << (m * n)):
         nodes += 1
         if nodes > budget.node_limit:
             return BudgetExceeded(f"node budget {budget.node_limit} exhausted")
-        da = [0] * m
-        db = [0] * n
-        edges = []
-        for i, (a, b) in enumerate(cells):
-            if mask >> i & 1:
-                da[a] += 1
-                db[b] += 1
-                edges.append((a, b))
-        if sorted(da) != want_a or sorted(db) != want_b:
+        rows = [mask >> (a * n) & full for a in range(m)]
+        if sorted(row.bit_count() for row in rows) != want_a:
             continue
-        g1 = BipartiteGraph(m, n, frozenset(edges))
+        if sorted(sum(row >> b & 1 for row in rows) for b in range(n)) != want_b:
+            continue
+        g1 = BipartiteGraph.from_rows(m, n, rows)
         comp = complement_in_biclique(g1)
         for cand in perms2:
             result = fixed_order_embed(comp, cand)

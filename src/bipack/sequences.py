@@ -65,7 +65,7 @@ def realize_bigraphic(s: BigraphicSequence) -> BipartiteGraph:
     if not is_bigraphic(s):
         raise NotBigraphic(f"not bigraphic: {s.a_degrees} ; {s.b_degrees}")
     residual = list(s.b_degrees)
-    edges = set()
+    rows = [0] * s.m
     order = sorted(range(s.m), key=lambda i: -s.a_degrees[i])
     for a in order:
         d = s.a_degrees[a]
@@ -74,8 +74,8 @@ def realize_bigraphic(s: BigraphicSequence) -> BipartiteGraph:
             if residual[b] <= 0:
                 raise NotBigraphic("greedy realization ran out of capacity")
             residual[b] -= 1
-            edges.add((a, b))
-    g = BipartiteGraph(s.m, s.n, frozenset(edges))
+            rows[a] |= 1 << b
+    g = BipartiteGraph.from_rows(s.m, s.n, rows)
     if degree_sequence_of(g) != s:
         raise NotBigraphic("greedy realization missed the prescribed degrees")
     return g

@@ -219,10 +219,12 @@ def test_criterion_8_partition_and_pair_invariants():
         host = gen_random_bipartite(n, 0.9, rng)
         cfg = EmbedConfig(eps=0.35, cap_override=6.0, seed=trial)
         plan = partition_degree_classes(target, cfg)
-        for i, cls in enumerate(plan.classes):
+        ok &= plan.bands[0] == 0 and list(plan.bands) == sorted(set(plan.bands))
+        for i, cls in zip(plan.bands, plan.classes):
             if i == 0:
                 ok &= all(len(target.a_adj[v]) == 0 for v in cls)
                 continue
+            ok &= bool(cls)
             for v in cls:
                 d = len(target.a_adj[v])
                 ok &= plan.cap / (1 + plan.delta) ** i < d

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,19 @@ class TestEmbed:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"phase", "pairIndex", "deficit", "attempts", "notes"}
         assert payload["attempts"] == 6
+
+    def test_tiny_eps_huge_cap_is_fast(self, files, capsys):
+        # one band, found from a logarithm, not by walking ~700k empty bands
+        start = time.perf_counter()
+        code = main(
+            [
+                "embed", "--host", str(files["k44"]), "--target", str(files["matching"]),
+                "--eps", "0.01", "--cap", "1e308",
+            ]
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["edges"]) == 4
 
     def test_deterministic_output(self, files, capsys):
         args = [
@@ -163,6 +177,10 @@ USAGE_ERRORS = [
     ["experiment", "--n", "8", "--delta-h", "-2", "--trials", "1"],
     ["experiment", "--n", "8", "--demand-total", "-3", "--trials", "1"],
     ["oracle", "--host", "{dup}", "--target", "{matching}"],
+    ["oracle", "--host", "{huge}", "--target", "{matching}"],
+    ["gen", "--kind", "random", "--n", "524289", "--p", "0.5"],
+    ["gen", "--kind", "star-forest", "--n", "99999999999"],
+    ["embed", "--host", "{k44}", "--target", "{matching}", "--eps", "1e-30", "--cap", "2"],
 ]
 
 
@@ -170,6 +188,8 @@ USAGE_ERRORS = [
 def test_bad_input_is_usage_error(files, capsys, argv):
     dup = files["tmp"] / "dup.txt"
     dup.write_text("4 4\n0 0\n0 0\n")
+    huge = files["tmp"] / "huge.txt"
+    huge.write_text("99999999999 0\n")
     names = {key: str(path) for key, path in files.items()}
-    assert main([arg.format(dup=dup, **names) for arg in argv]) == 2
+    assert main([arg.format(dup=dup, huge=huge, **names) for arg in argv]) == 2
     assert "error" in capsys.readouterr().err

@@ -39,7 +39,55 @@ def relaxed(eps=0.4, cap=8.0, **kw):
     return EmbedConfig(eps=eps, mode="relaxed", cap_override=cap, **kw)
 
 
+def band_index_by_iteration(degree, cap, delta):
+    """The band index's defining loop: the smallest i >= 1 with
+    cap/(1+delta)^i < degree, or the first i where (1+delta)^i overflows."""
+    i = 1
+    try:
+        while degree <= cap / (1 + delta) ** i:
+            i += 1
+    except OverflowError:
+        pass
+    return i
+
+
 class TestBandIndex:
+    @pytest.mark.parametrize("delta", [0.001, 0.01, 0.049, 0.05, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("cap", [1.0, 2.0, 3.0, 8.0, 10.0, 1000.0, 1e6])
+    def test_matches_the_iteration_at_band_boundaries(self, cap, delta):
+        # degrees exactly on each boundary cap/(1+delta)^j and one float step
+        # either side, plus the integers nearest to it
+        j = 0
+        while cap / (1 + delta) ** j >= 0.5 and j < 3000:
+            edge = cap / (1 + delta) ** j
+            for degree in (
+                edge,
+                math.nextafter(edge, 0),
+                math.nextafter(edge, math.inf),
+                math.floor(edge),
+                math.ceil(edge),
+            ):
+                if degree > 0:
+                    assert band_index(degree, cap, delta) == band_index_by_iteration(
+                        degree, cap, delta
+                    ), (degree, cap, delta)
+            j += {0.001: 97, 0.01: 11}.get(delta, 1)  # every band where they are few
+
+    def test_matches_the_iteration_at_huge_caps(self):
+        for cap in (1e300, 1e308, 1.79e308):
+            for delta in (0.01, 0.05):
+                for degree in (1, 2, 3, 1000):
+                    assert band_index(degree, cap, delta) == band_index_by_iteration(
+                        degree, cap, delta
+                    )
+
+    def test_degree_above_cap_is_band_one(self):
+        assert band_index(9, 8.0, 0.05) == 1
+
+    def test_delta_too_small_rejected(self):
+        with pytest.raises(ValueError):
+            band_index(1, 8.0, 1e-30)
+
     def test_frozen_examples(self):
         # solved by hand from cap/(1+d)^i < deg <= cap/(1+d)^(i-1), cap=8, d=0.05
         assert band_index(8, 8.0, 0.05) == 1
@@ -69,7 +117,7 @@ class TestPartition:
         nonempty = {i: c for i, c in enumerate(plan.classes) if c}
         assert nonempty[0] == tuple(range(4, 32))
         assert plan.classes[1] == (0, 1)
-        by_vertex = {v: i for i, c in enumerate(plan.classes) for v in c}
+        by_vertex = {v: i for i, c in zip(plan.bands, plan.classes) for v in c}
         for v, d in [(2, 4), (3, 1)]:
             i = by_vertex[v]
             assert plan.cap / (1 + plan.delta) ** i < d
@@ -80,6 +128,24 @@ class TestPartition:
         plan = partition_degree_classes(target, relaxed(cap=3.0))
         nonempty = [c for c in plan.classes[1:] if c]
         assert nonempty == [(0, 1, 2)]
+
+    def test_only_non_empty_bands_are_kept(self):
+        target = gen_star_forest(32, [8, 8, 4, 1])
+        plan = partition_degree_classes(target, relaxed(eps=0.49, cap=8.0))
+        assert plan.bands == (
+            0,
+            1,
+            band_index_by_iteration(4, 8.0, plan.delta),
+            band_index_by_iteration(1, 8.0, plan.delta),
+        )
+        assert plan.classes[1:] == ((0, 1), (2,), (3,))
+        assert all(plan.classes[1:])
+
+    def test_tiny_eps_huge_cap_has_few_bands(self):
+        target = gen_star_forest(4, [1, 1, 1, 1])
+        plan = partition_degree_classes(target, relaxed(eps=0.01, cap=1e308))
+        assert len(plan.classes) == 2 and plan.classes[1] == (0, 1, 2, 3)
+        assert plan.bands[1] == band_index_by_iteration(1, 1e308, 0.001)
 
     def test_empty_target(self):
         target = BipartiteGraph(8, 8)
@@ -96,6 +162,13 @@ class TestPartition:
         target = BipartiteGraph(4, 4, {(0, 0), (1, 0)})
         with pytest.raises(BadTarget):
             partition_degree_classes(target, relaxed())
+
+    def test_strict_mode_needs_every_t_vertex_covered(self):
+        cfg = EmbedConfig(eps=0.4, mode="strict")
+        with pytest.raises(BadTarget):
+            partition_degree_classes(gen_star_forest(64, [1] * 63), cfg)
+        with pytest.raises(BadTarget):
+            partition_degree_classes(BipartiteGraph(4, 4, {(0, 0), (1, 0)}), cfg)
 
     def test_partition_covers_s(self):
         rng = random.Random(5)

@@ -7,6 +7,7 @@ from bipack.experiments import (
     GridPoint,
     run_experiment,
     run_trial,
+    summarize,
     summary_csv,
 )
 
@@ -55,6 +56,31 @@ class TestRunExperiment:
         assert rows[0]["trials"] == 4
         assert rows[0]["successes"] == 4
         assert [r.seed for r in records] == [100, 101, 102, 103]
+
+    def test_summary_matches_a_scan_per_point(self):
+        # repeated and unvisited points, two generators on the same (n, p, delta_h)
+        grid = (
+            GridPoint(8, 0.9, 2, 0.4),
+            GridPoint(8, 0.9, 2, 0.4, generator="condition1"),
+            GridPoint(8, 0.5, 2, 0.4),
+            GridPoint(8, 0.9, 2, 0.4),
+        )
+        spec = ExperimentSpec(grid=grid, trials=3, seed_base=1)
+        records, rows = run_experiment(spec)
+        extra = GridPoint(8, 0.9, 3, 0.4)
+        spec_with_extra = ExperimentSpec(grid=grid + (extra,), trials=3, seed_base=1)
+        expected = []
+        for point in spec_with_extra.grid:
+            mine = [
+                r for r in records
+                if (r.n, r.p, r.delta_h, r.eps, r.generator)
+                == (point.n, point.p, point.delta_h, point.eps, point.generator)
+            ]
+            expected.append((len(mine), sum(r.success for r in mine)))
+        got = summarize(spec_with_extra, records)
+        assert [(row["trials"], row["successes"]) for row in got] == expected
+        assert got[:4] == rows
+        assert expected[0] == (6, expected[0][1]) and expected[4] == (0, 0)
 
     def test_output_files_reproducible(self, tmp_path):
         def run(tag):

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from bipack.graphs import MAX_SIDE
 from bipack.generators import (
     ParameterError,
     condition2_parameters,
@@ -14,7 +15,34 @@ from bipack.generators import (
 )
 
 
+def per_pair_edges(n, p, rng):
+    """The generator's definition, one rng.random() per (a, b) in row order."""
+    if p == 1.0:
+        return frozenset((a, b) for a in range(n) for b in range(n))
+    return frozenset((a, b) for a in range(n) for b in range(n) if rng.random() < p)
+
+
 class TestRandomBipartite:
+    @pytest.mark.parametrize("n", [0, 1, 7, 64])
+    @pytest.mark.parametrize("p", [0, 0.3, 0.75, 1])
+    def test_rows_match_the_per_pair_loop(self, n, p):
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            g = gen_random_bipartite(n, p, rng)
+            assert g.edges == per_pair_edges(n, p, ref)
+            assert rng.getstate() == ref.getstate()  # the same draws were made
+
+    def test_n_above_the_limit_rejected_before_drawing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="exceed"):
+            gen_random_bipartite(MAX_SIDE + 1, 0.5, rng)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError, match="exceed"):
+            gen_star_forest(MAX_SIDE + 1, [1])
+        with pytest.raises(ValueError, match="exceed"):
+            gen_condition1_counterexample(MAX_SIDE + 2)
+
     def test_p_one_is_complete(self):
         g = gen_random_bipartite(5, 1.0, random.Random(0))
         assert len(g.edges) == 25
@@ -54,6 +82,10 @@ class TestStarForest:
     def test_empty(self):
         assert not gen_star_forest(4, []).edges
 
+    def test_hubs_own_consecutive_leaves(self):
+        g = gen_star_forest(7, [2, 0, 3, 1])
+        assert g.edges == {(0, 0), (0, 1), (2, 2), (2, 3), (2, 4), (3, 5)}
+
     def test_single_star_covers_t(self):
         g = gen_star_forest(5, [5])
         assert g.a_degrees[0] == 5 and all(d == 1 for d in g.b_degrees)
@@ -83,6 +115,13 @@ class TestCondition1Counterexample:
         degs = set(g.a_degrees) | set(g.b_degrees)
         assert degs == {n // 2 - 1, n // 2 + 1}
         assert g.min_degree() == n // 2 - 1
+
+    @pytest.mark.parametrize("n", [4, 6, 10])
+    def test_edges(self, n):
+        half = n // 2
+        want = {(a, b) for a in range(half + 1) for b in range(half - 1)}
+        want |= {(a, b) for a in range(half + 1, n) for b in range(half - 1, n)}
+        assert gen_condition1_counterexample(n).edges == want
 
     def test_n4_shape(self):
         g = gen_condition1_counterexample(4)

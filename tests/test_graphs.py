@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bipack.graphs import (
+    MAX_SIDE,
     BigraphicSequence,
     BipartiteGraph,
     DimensionMismatch,
@@ -14,9 +15,12 @@ from bipack.graphs import (
     format_sequence,
     parse_graph,
     parse_sequence,
+    set_bits,
     verify_embedding,
     verify_packing,
 )
+
+DIFFERENTIAL = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 def biclique(m, n):
@@ -42,6 +46,75 @@ class TestBipartiteGraph:
         assert g.a_adj[0] == {0, 2}
         assert g.b_adj[0] == {0, 1}
         assert g.has_edge(0, 2) and not g.has_edge(1, 2)
+
+
+class TestRows:
+    """The rows are the canonical state; every other view must agree with
+    the same graph built from edges."""
+
+    @DIFFERENTIAL
+    @given(bipartite_graphs(max_side=9))
+    def test_edges_rows_and_text_agree(self, g):
+        m, n = g.m, g.n
+        from_rows = BipartiteGraph.from_rows(m, n, g.rows)
+        from_text = parse_graph(format_graph(g))
+        for h in (from_rows, from_text):
+            assert h == g and hash(h) == hash(g)
+            assert h.rows == g.rows
+            assert h.edges == g.edges
+            assert h.a_adj == g.a_adj and h.b_adj == g.b_adj
+            assert h.a_degrees == g.a_degrees and h.b_degrees == g.b_degrees
+        # the views, rebuilt here from the edge set alone
+        assert g.a_adj == tuple(frozenset(b for a, b in g.edges if a == x) for x in range(m))
+        assert g.b_adj == tuple(frozenset(a for a, b in g.edges if b == y) for y in range(n))
+        assert g.rows == tuple(sum(1 << b for b in g.a_adj[a]) for a in range(m))
+        for a in range(-1, m + 2):
+            for b in range(-1, n + 2):
+                assert g.has_edge(a, b) == ((a, b) in g.edges)
+
+    @DIFFERENTIAL
+    @given(bipartite_graphs(max_side=9), bipartite_graphs(max_side=9))
+    def test_equality_follows_the_edge_set(self, g, h):
+        assert (g == h) == ((g.m, g.n, g.edges) == (h.m, h.n, h.edges))
+
+    @DIFFERENTIAL
+    @given(bipartite_graphs(max_side=9))
+    def test_sorted_edge_list_text_round_trips(self, g):
+        text = f"{g.m} {g.n}\n" + "".join(f"{a} {b}\n" for a, b in sorted(g.edges))
+        assert format_graph(parse_graph(text)) == text
+
+    @DIFFERENTIAL
+    @given(st.integers(0, 300).flatmap(lambda w: st.integers(0, (1 << w) - 1)))
+    def test_set_bits_matches_bit_tests(self, mask):
+        assert set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def test_set_bits_sparse_and_dense_rows(self):
+        sparse = 1 << 700 | 1 << 3
+        dense = (1 << 700) - 1 - (1 << 5)
+        assert set_bits(sparse) == [3, 700]
+        assert set_bits(dense) == [b for b in range(700) if b != 5]
+        assert set_bits(0) == []
+
+    def test_from_rows_checks_shape(self):
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_rows(2, 2, (1,))
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_rows(1, 2, (4,))
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_rows(1, 2, (-1,))
+
+    def test_immutable(self):
+        g = BipartiteGraph(2, 2, {(0, 1)})
+        with pytest.raises(AttributeError):
+            g.rows = (0, 0)
+
+    def test_sizes_above_the_limit_rejected_before_allocating(self):
+        for m, n in ((MAX_SIDE + 1, 0), (0, MAX_SIDE + 1), (99999999999, 99999999999)):
+            with pytest.raises(ValueError, match="exceed"):
+                BipartiteGraph(m, n)
+            with pytest.raises(ValueError, match="exceed"):
+                BipartiteGraph.from_rows(m, n, ())
+        assert BipartiteGraph(MAX_SIDE, 1, {(MAX_SIDE - 1, 0)}).a_degrees[-1] == 1
 
 
 class TestDegreeSequence:
@@ -106,6 +179,27 @@ class TestVerifyEmbedding:
         with pytest.raises(DimensionMismatch):
             verify_embedding(host, target, EmbeddingMap((0, 5), (0, 1), {(0, 0)}))
 
+    @DIFFERENTIAL
+    @given(bipartite_graphs(max_side=6), st.data())
+    def test_image_edge_missing_from_host_is_false(self, host, data):
+        missing = [(a, b) for a in range(host.m) for b in range(host.n) if not host.has_edge(a, b)]
+        if not missing:
+            return
+        a, b = data.draw(st.sampled_from(missing))
+        target = BipartiteGraph(1, 1, {(0, 0)})
+        # the map is injective and the image has the right size and shape
+        assert not verify_embedding(host, target, EmbeddingMap((a,), (b,), {(a, b)}))
+        assert verify_embedding(
+            BipartiteGraph(host.m, host.n, host.edges | {(a, b)}),
+            target,
+            EmbeddingMap((a,), (b,), {(a, b)}),
+        )
+
+    def test_image_edge_outside_the_host_is_false(self):
+        host = biclique(2, 2)
+        target = BipartiteGraph(2, 2, {(0, 0)})
+        assert not verify_embedding(host, target, EmbeddingMap((0, 1), (0, 1), {(0, 7)}))
+
     def test_true_implies_edge_count_matches_degree_sum(self):
         host = biclique(3, 3)
         target = BipartiteGraph(3, 3, {(0, 0), (0, 1), (1, 2)})
@@ -159,6 +253,17 @@ class TestTextFormats:
     def test_graph_duplicate_edge_lines_rejected(self):
         with pytest.raises(ValueError, match="2 duplicate"):
             parse_graph("2 2\n0 0\n1 1\n0 0\n0 0\n")
+
+    def test_graph_header_above_the_limit_rejected(self):
+        # rejected from the header alone, before any per-vertex allocation
+        for text in ("99999999999 0", f"0 {MAX_SIDE + 1}", "3 99999999999\n0 0\n"):
+            with pytest.raises(ValueError, match="exceed"):
+                parse_graph(text)
+
+    def test_graph_edge_out_of_range_rejected(self):
+        for text in ("2 2\n0 2\n", "2 2\n2 0\n", "2 2\n0 -1\n", "2 2\n-1 0\n"):
+            with pytest.raises(ValueError, match="out of range"):
+                parse_graph(text)
 
     def test_sequence_negative_size_rejected(self):
         with pytest.raises(ValueError):
