@@ -4,7 +4,8 @@ Three routes decide whether demands can be met by a subgraph of a host:
 
 * ``lemma4_check_exhaustive`` enumerates the subset inequalities
   pi(X) <= e(X, Y) + pi(complement Y) over both orientations and reports
-  the worst violation, if any.
+  the worst violation, if any. It enumerates X only: for a fixed X the
+  best Y, and the lexicographically smallest best Y, have closed forms.
 * ``fixed_order_embed`` builds a degree-constrained subgraph for general
   demands through an integral maximum flow (Dinic) and returns the
   selected edges.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import getitem
 
 from .graphs import BigraphicSequence, BipartiteGraph, DimensionMismatch, set_bits
 
@@ -212,40 +214,57 @@ def capacitated_matching(neighbours, demands):
     return assigned, sum(demands) - len(owner)
 
 
+def _subset_sums(weights):
+    """sums[x] = the sum of weights[i] over the set bits i of x, for every x."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def _best_violation_for_side(a_demands, b_demands, nbr_masks, m, n):
     """Worst (X, Y) violation with X on the side of a_demands.
 
     For fixed X the optimal Y keeps b exactly when e(X,{b}) < pi(b), so the
-    best deficiency is pi(X) - sum_b min(e_b, pi_b); Y itself is
-    reconstructed afterwards for the winning X only.
+    best deficiency is pi(X) - sum_b min(e_b, pi_b). Per X that is one
+    pass of C-level maps over the neighbour masks, with min(e, pi_b) read
+    from a table per b and pi(X) from subset-sum tables of the two halves
+    of X. Y is then written down for the winning X only: every optimal Y
+    holds the forced set {b : e_b < pi_b}, no b with e_b > pi_b, and any
+    of the tied b (e_b = pi_b). The lexicographically smallest of them adds
+    each tied b below the largest forced b, since each such b lowers the
+    tuple where it enters, and no tied b above it, since a proper prefix
+    sorts first.
     """
+    half = m // 2
+    low_sums = _subset_sums(a_demands[:half])
+    high_sums = _subset_sums(a_demands[half:])
+    low = (1 << half) - 1
+    clipped = [tuple(min(e, pi) for e in range(m + 1)) for pi in b_demands]
     best = None  # (deficiency, x_tuple, x_mask)
     for x_mask in range(1 << m):
-        x_bits = set_bits(x_mask)
-        bound = sum([a_demands[i] for i in x_bits])
-        for b in range(n):
-            e_b = (nbr_masks[b] & x_mask).bit_count()
-            bound -= min(e_b, b_demands[b])
-        if bound <= 0:
+        edges_to = map(int.bit_count, map(x_mask.__and__, nbr_masks))
+        bound = (
+            low_sums[x_mask & low]
+            + high_sums[x_mask >> half]
+            - sum(map(getitem, clipped, edges_to))
+        )
+        if bound <= 0 or (best is not None and bound < best[0]):
             continue
-        x_tuple = tuple(x_bits)
-        if best is None or bound > best[0] or (bound == best[0] and x_tuple < best[1]):
+        x_tuple = tuple(set_bits(x_mask))
+        if best is None or bound > best[0] or x_tuple < best[1]:
             best = (bound, x_tuple, x_mask)
     if best is None:
         return None
     deficiency, x_tuple, x_mask = best
-    # Lexicographically smallest Y among the maximizers for this X.
     e = [(nbr_masks[b] & x_mask).bit_count() for b in range(n)]
-    best_y = None
-    for y_mask in range(1 << n):
-        rhs = sum(e[b] if y_mask >> b & 1 else b_demands[b] for b in range(n))
-        if sum(a_demands[i] for i in x_tuple) - rhs != deficiency:
-            continue
-        y_tuple = tuple(set_bits(y_mask))
-        if best_y is None or y_tuple < best_y:
-            best_y = y_tuple
+    forced = [b for b in range(n) if e[b] < b_demands[b]]
+    top = forced[-1] if forced else -1
+    y_tuple = tuple(
+        b for b in range(n) if e[b] < b_demands[b] or (e[b] == b_demands[b] and b < top)
+    )
     lhs = sum(a_demands[i] for i in x_tuple)
-    return Lemma4Violation(x_tuple, best_y, lhs, lhs - deficiency)
+    return Lemma4Violation(x_tuple, y_tuple, lhs, lhs - deficiency)
 
 
 def lemma4_check_exhaustive(

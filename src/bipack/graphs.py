@@ -114,7 +114,26 @@ class BipartiteGraph:
 
     @property
     def b_degrees(self) -> list:
-        return [len(s) for s in self.b_adj]
+        """Column sums of the rows, without building ``b_adj``.
+
+        Every column's count is a binary counter held in bit planes: bit b
+        of ``planes[i]`` is bit i of column b's count. Adding a row is a
+        ripple-carry addition on whole rows, O(log m) mask operations.
+        """
+        planes = []
+        for row in self.rows:
+            i = 0
+            while row:
+                if i == len(planes):
+                    planes.append(row)
+                    break
+                planes[i], row = planes[i] ^ row, planes[i] & row
+                i += 1
+        counts = [0] * self.n
+        for i, plane in enumerate(planes):
+            for b in set_bits(plane):
+                counts[b] += 1 << i
+        return counts
 
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.m and 0 <= b < self.n and bool(self.rows[a] >> b & 1)

@@ -4,13 +4,16 @@ The embed oracle backtracks over injective hub-side maps (pruned only by
 degree counts) and settles the leaf side exactly: with all T-degrees at
 most 1 that subproblem is a b-matching, solved by the augmenting-path
 engine ``flow.capacitated_matching``; otherwise it backtracks over T as
-well. Budget exhaustion is a third result, never folded into yes/no.
+well. The packing oracle enumerates realizations of the first sequence
+as row tuples, drawing each row only from the masks whose popcount is one
+of its A-degrees, in the same increasing order as a scan of every mask.
+Budget exhaustion is a third result, never folded into yes/no.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .flow import Infeasible, capacitated_matching, fixed_order_embed
 from .graphs import (
@@ -194,15 +197,23 @@ def brute_force_pack(
         for pa in _distinct_permutations(seq2.a_degrees)
         for pb in _distinct_permutations(seq2.b_degrees)
     ]
+    # Cell (a, b) is bit a*n + b of a candidate mask over all m*n cells, so
+    # row a is the mask's a-th n-bit slice. Only rows whose popcount is an
+    # A-degree of seq1 can occur; product() over those rows, row m-1
+    # outermost, visits the surviving masks in increasing order.
+    wanted = set(want_a)
+    row_choices = [row for row in range(1 << n) if row.bit_count() in wanted]
+    # The budget counts every mask in range(node_limit), kept or not: the
+    # search gives up at the first surviving mask at or beyond it, whose
+    # rows, row m-1 first, compare at least limit_rows.
     full = (1 << n) - 1
-    nodes = 0
-    # Bit a*n + b of mask is cell (a, b), so row a is the mask's a-th n-bit slice.
-    for mask in range(1 << (m * n)):
-        nodes += 1
-        if nodes > budget.node_limit:
+    budget_binds = budget.node_limit < 1 << (m * n)
+    limit_rows = tuple(budget.node_limit >> (a * n) & full for a in reversed(range(m)))
+    for high_first in product(row_choices, repeat=m):
+        if budget_binds and high_first >= limit_rows:
             return BudgetExceeded(f"node budget {budget.node_limit} exhausted")
-        rows = [mask >> (a * n) & full for a in range(m)]
-        if sorted(row.bit_count() for row in rows) != want_a:
+        rows = high_first[::-1]
+        if sorted(map(int.bit_count, rows)) != want_a:
             continue
         if sorted(sum(row >> b & 1 for row in rows) for b in range(n)) != want_b:
             continue
@@ -215,4 +226,6 @@ def brute_force_pack(
                 if not verify_packing(witness, seq1, seq2):
                     raise AssertionError("oracle produced an invalid packing")
                 return witness
+    if budget_binds:
+        return BudgetExceeded(f"node budget {budget.node_limit} exhausted")
     return NoPacking()

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipack.flow import (
     FlowNetwork,
     Infeasible,
+    Lemma4Violation,
     SizeTooLarge,
     capacitated_matching,
     fixed_order_embed,
@@ -23,6 +25,70 @@ from util_enumeration import all_bipartite_graphs
 
 def biclique(m, n):
     return BipartiteGraph(m, n, {(a, b) for a in range(m) for b in range(n)})
+
+
+def worst_violation_scanning_y(a_demands, b_demands, nbr_masks, m, n):
+    """Reference for one orientation: the best X by a per-b loop, then the
+    lexicographically smallest optimal Y by scanning all 2^n subsets."""
+    best = None
+    for x_mask in range(1 << m):
+        x_tuple = tuple(i for i in range(m) if x_mask >> i & 1)
+        bound = sum(a_demands[i] for i in x_tuple)
+        for b in range(n):
+            bound -= min((nbr_masks[b] & x_mask).bit_count(), b_demands[b])
+        if bound > 0 and (
+            best is None or bound > best[0] or (bound == best[0] and x_tuple < best[1])
+        ):
+            best = (bound, x_tuple, x_mask)
+    if best is None:
+        return None
+    deficiency, x_tuple, x_mask = best
+    lhs = sum(a_demands[i] for i in x_tuple)
+    e = [(nbr_masks[b] & x_mask).bit_count() for b in range(n)]
+    best_y = None
+    for y_mask in range(1 << n):
+        rhs = sum(e[b] if y_mask >> b & 1 else b_demands[b] for b in range(n))
+        y_tuple = tuple(b for b in range(n) if y_mask >> b & 1)
+        if lhs - rhs == deficiency and (best_y is None or y_tuple < best_y):
+            best_y = y_tuple
+    return Lemma4Violation(x_tuple, best_y, lhs, lhs - deficiency)
+
+
+def lemma4_scanning_y(host, demand):
+    """Reference for lemma4_check_exhaustive, with the same tie rules."""
+    a_nbr = list(host.rows)
+    b_nbr = [sum(1 << a for a in range(host.m) if host.rows[a] >> b & 1) for b in range(host.n)]
+    v_a = worst_violation_scanning_y(demand.a_degrees, demand.b_degrees, b_nbr, host.m, host.n)
+    v_b = worst_violation_scanning_y(demand.b_degrees, demand.a_degrees, a_nbr, host.n, host.m)
+    if v_b is not None:
+        v_b = Lemma4Violation(v_b.x, v_b.y, v_b.lhs, v_b.rhs, side="B")
+    if v_a is None:
+        return v_b
+    if v_b is None or v_a.deficiency >= v_b.deficiency:
+        return v_a
+    return v_b
+
+
+@st.composite
+def hosts_with_demands(draw, max_side=6):
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    host = BipartiteGraph.from_rows(m, n, rows)
+    if draw(st.booleans()):
+        # degrees of a random subgraph: feasible unless one is bumped
+        keep = [row & draw(st.integers(0, (1 << n) - 1)) for row in rows]
+        demand = degree_sequence_of(BipartiteGraph.from_rows(m, n, keep))
+        if m and draw(st.booleans()):
+            a = list(demand.a_degrees)
+            a[draw(st.integers(0, m - 1))] += draw(st.integers(1, 2))
+            demand = BigraphicSequence(a, demand.b_degrees)
+    else:
+        demand = BigraphicSequence(
+            draw(st.lists(st.integers(0, n + 1), min_size=m, max_size=m)),
+            draw(st.lists(st.integers(0, m + 1), min_size=n, max_size=n)),
+        )
+    return host, demand
 
 
 class TestMaxFlow:
@@ -231,6 +297,22 @@ class TestLemma4Check:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lemma4_check_exhaustive(biclique(2, 2), BigraphicSequence((1,), (1, 1)))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(hosts_with_demands())
+    def test_same_violation_as_scanning_every_y(self, instance):
+        host, demand = instance
+        assert lemma4_check_exhaustive(host, demand) == lemma4_scanning_y(host, demand)
+
+    def test_tied_columns_below_and_above_the_forced_ones(self):
+        # X = {0}: e = (1, 0, 1, 1) against pi = (1, 1, 1, 0): column 1 is
+        # forced into Y, 0 and 2 tie; 0 lies below the forced column and
+        # joins Y, 2 lies above it and stays out
+        host = BipartiteGraph(1, 4, {(0, 0), (0, 2), (0, 3)})
+        demand = BigraphicSequence((4,), (1, 1, 1, 0))
+        v = lemma4_check_exhaustive(host, demand)
+        assert v == lemma4_scanning_y(host, demand)
+        assert (v.x, v.y, v.side) == ((0,), (0, 1), "A")
 
     def test_deterministic_violation_choice(self):
         host = BipartiteGraph(3, 3, {(0, 0)})

@@ -88,6 +88,26 @@ class TestRows:
     def test_set_bits_matches_bit_tests(self, mask):
         assert set_bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
+    @DIFFERENTIAL
+    @given(
+        st.integers(0, 70).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=70)
+            )
+        )
+    )
+    def test_b_degrees_count_the_columns(self, shape):
+        # up to 70 rows, so the column counts carry through seven bit planes
+        n, rows = shape
+        g = BipartiteGraph.from_rows(len(rows), n, rows)
+        assert g.b_degrees == [len(g.b_adj[b]) for b in range(n)]
+        assert g.min_degree() == min(g.a_degrees + [len(s) for s in g.b_adj], default=0)
+
+    def test_b_degrees_of_full_and_empty_columns(self):
+        g = BipartiteGraph.from_rows(300, 5, [0b10111] * 300)
+        assert g.b_degrees == [300, 300, 300, 0, 300]
+        assert "b_adj" not in vars(g)  # counted from the rows, no view built
+
     def test_set_bits_sparse_and_dense_rows(self):
         sparse = 1 << 700 | 1 << 3
         dense = (1 << 700) - 1 - (1 << 5)

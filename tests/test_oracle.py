@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bipack
 
@@ -16,6 +17,7 @@ from bipack.graphs import (
     BipartiteGraph,
     EmbeddingMap,
     PackingWitness,
+    complement_in_biclique,
     degree_sequence_of,
     verify_embedding,
     verify_packing,
@@ -25,6 +27,7 @@ from bipack.oracle import (
     NoEmbedding,
     NoPacking,
     OracleBudget,
+    _distinct_permutations,
     brute_force_embed,
     brute_force_pack,
 )
@@ -33,6 +36,61 @@ from util_enumeration import all_bipartite_graphs
 
 def biclique(m, n):
     return BipartiteGraph(m, n, {(a, b) for a in range(m) for b in range(n)})
+
+
+def pack_scanning_every_mask(seq1, seq2, node_limit):
+    """Reference for brute_force_pack past its size checks: every mask over
+    the m*n cells in increasing order, one budget unit each."""
+    m, n = seq1.m, seq1.n
+    if seq1.a_sum != seq1.b_sum or seq2.a_sum != seq2.b_sum:
+        return NoPacking()
+    perms2 = [
+        BigraphicSequence(pa, pb)
+        for pa in _distinct_permutations(seq2.a_degrees)
+        for pb in _distinct_permutations(seq2.b_degrees)
+    ]
+    full = (1 << n) - 1
+    for mask in range(1 << (m * n)):
+        if mask >= node_limit:
+            return BudgetExceeded()
+        rows = [mask >> (a * n) & full for a in range(m)]
+        if sorted(row.bit_count() for row in rows) != sorted(seq1.a_degrees):
+            continue
+        if sorted(sum(row >> b & 1 for row in rows) for b in range(n)) != sorted(seq1.b_degrees):
+            continue
+        g1 = BipartiteGraph.from_rows(m, n, rows)
+        for cand in perms2:
+            result = fixed_order_embed(complement_in_biclique(g1), cand)
+            if not isinstance(result, Infeasible):
+                return PackingWitness(g1.edges, result)
+    return NoPacking()
+
+
+def pack_outcome(result):
+    if isinstance(result, PackingWitness):
+        return sorted(result.g1_edges), sorted(result.g2_edges)
+    return type(result).__name__
+
+
+@st.composite
+def sequence_pairs(draw, max_side=3):
+    """Two degree sequences on one shape: a planted packing, or arbitrary."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    cells = (1 << n) - 1
+    rows1 = draw(st.lists(st.integers(0, cells), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows2 = [~r & draw(st.integers(0, cells)) for r in rows1]
+    else:
+        rows2 = draw(st.lists(st.integers(0, cells), min_size=m, max_size=m))
+    seqs = [
+        degree_sequence_of(BipartiteGraph.from_rows(m, n, rows)) for rows in (rows1, rows2)
+    ]
+    if n and draw(st.booleans()):  # often unequal side sums
+        b = list(seqs[0].b_degrees)
+        b[0] += 1
+        seqs[0] = BigraphicSequence(seqs[0].a_degrees, b)
+    return seqs
 
 
 class TestBruteForceEmbed:
@@ -133,6 +191,54 @@ class TestBruteForcePack:
         assert isinstance(
             brute_force_pack(ones, ones, OracleBudget(max_nodes=8)), BudgetExceeded
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sequence_pairs(), st.sampled_from(["1", "100", "all-1", "all", "default"]))
+    def test_same_answer_as_scanning_every_mask(self, seqs, limit):
+        seq1, seq2 = seqs
+        cells = 1 << (seq1.m * seq1.n)
+        node_limit = {
+            "1": 1, "100": 100, "all-1": max(cells - 1, 1), "all": cells,
+            "default": OracleBudget().node_limit,
+        }[limit]
+        budget = OracleBudget(max_nodes=8, node_limit=node_limit)
+        got = brute_force_pack(seq1, seq2, budget)
+        assert pack_outcome(got) == pack_outcome(pack_scanning_every_mask(seq1, seq2, node_limit))
+
+    def test_budget_counts_every_mask_below_the_limit(self):
+        # 2x2 all-ones: the first realization is mask 0b0110 = 6 (cells
+        # (0, 1) and (1, 0)), so a limit of 6 stops just before it and 7
+        # reaches it
+        ones = BigraphicSequence((1, 1), (1, 1))
+        for node_limit in (1, 5, 6, 7, 15, 16):
+            budget = OracleBudget(max_nodes=8, node_limit=node_limit)
+            expected = pack_scanning_every_mask(ones, ones, node_limit)
+            assert pack_outcome(brute_force_pack(ones, ones, budget)) == pack_outcome(expected)
+        assert isinstance(brute_force_pack(ones, ones, OracleBudget(node_limit=6)), BudgetExceeded)
+        assert isinstance(brute_force_pack(ones, ones, OracleBudget(node_limit=7)), PackingWitness)
+
+    def test_empty_sides(self):
+        for m, n in ((0, 0), (0, 3), (3, 0)):
+            zeros = BigraphicSequence((0,) * m, (0,) * n)
+            got = brute_force_pack(zeros, zeros, OracleBudget(node_limit=1))
+            assert isinstance(got, PackingWitness) and not got.g1_edges and not got.g2_edges
+        assert isinstance(
+            brute_force_pack(
+                BigraphicSequence((), (0, 1)), BigraphicSequence((), (0, 0))
+            ),
+            NoPacking,
+        )
+
+    def test_4x4_against_scanning_every_mask(self):
+        rng = random.Random(44)
+        cells = [(a, b) for a in range(4) for b in range(4)]
+        for _ in range(3):
+            g1 = [c for c in cells if rng.random() < 0.3]
+            g2 = [c for c in cells if c not in g1 and rng.random() < 0.3]
+            seq1 = degree_sequence_of(BipartiteGraph(4, 4, g1))
+            seq2 = degree_sequence_of(BipartiteGraph(4, 4, g2))
+            got = brute_force_pack(seq1, seq2)
+            assert pack_outcome(got) == pack_outcome(pack_scanning_every_mask(seq1, seq2, 1 << 16))
 
     def test_unordered_relabel_needed(self):
         # positional seq2 clashes with the canonical seq1 realization but a
